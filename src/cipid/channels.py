@@ -23,9 +23,11 @@ from .distribution import (
     Channel,
     JointDistribution,
     VariableSet,
+    _check_target,
     _check_vars,
     _marginal_pmf,
     _mi_lenient,
+    _source_variables,
     channel_from,
 )
 from .errors import ArgumentError, ConsistencyError, SolverError
@@ -158,9 +160,7 @@ def degradation_redundancy(
     The reported value is a lower bound on the supremum; the report's
     certificate is the upper bound min over sources of I(Y_i;T).
     """
-    if len(target) == 0:
-        raise ArgumentError("target must be non-empty")
-    _check_vars(dist, target, "target")
+    _check_target(dist, target)
     if restarts < 0:
         raise ArgumentError("restarts must be non-negative")
 
@@ -283,9 +283,7 @@ def vk_union_information(
     I(A_i;T); its argument is the optimizing joint distribution over
     the pooled sources and the target.
     """
-    if len(target) == 0:
-        raise ArgumentError("target must be non-empty")
-    _check_vars(dist, target, "target")
+    _check_target(dist, target)
     for s in collection:
         _check_vars(dist, s.members, "source")
         if not s.members.isdisjoint(target):
@@ -458,12 +456,7 @@ def s_d(
     Values in a small negative rounding band are clamped to zero;
     solver failures propagate.
     """
-    if len(target) == 0:
-        raise ArgumentError("target must be non-empty")
-    _check_vars(dist, target, "target")
-    src = [i for i in range(dist.n_vars) if i not in target]
-    if not src:
-        raise ArgumentError("no predictor variables outside the target")
+    src = _source_variables(dist, target)
     if collection is None:
         collection = SourceCollection.singletons(src)
     norm = normalize_sources(dist, collection)

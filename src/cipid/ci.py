@@ -21,14 +21,19 @@ import math
 from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
+
 from .distribution import (
     JointDistribution,
     VariableSet,
+    _check_target,
     _check_vars,
+    _clamp_nonneg,
     _marginal_pmf,
     _mi_lenient,
+    _source_variables,
 )
-from .errors import ArgumentError, ConsistencyError
+from .errors import ArgumentError, ConsistencyError, UnsupportedError
 from .sources import (
     CiPartition,
     SourceCollection,
@@ -94,9 +99,7 @@ def build_q(
     The result's variables are the union of target and pooled source
     variables in distribution order, with the original alphabets.
     """
-    if len(target) == 0:
-        raise ArgumentError("target must be non-empty")
-    _check_vars(dist, target, "target")
+    _check_target(dist, target)
     for b in partition.blocks:
         _check_vars(dist, b, "partition block")
 
@@ -139,6 +142,42 @@ def build_q(
     )
 
 
+# Cap on the cells of the dense array ci_union_information builds
+# (target states times the pooled product alphabet): 32 MB of doubles.
+_MAX_CELLS = 1 << 22
+
+
+def _pooled_array(
+    dist: JointDistribution, t_idx: tuple[int, ...], pooled: tuple[int, ...]
+) -> np.ndarray:
+    """p as an array: axis 0 runs over the target states of positive mass,
+    then one axis per pooled variable over its alphabet.
+
+    Pooled variables that belong to the target keep their own axis.
+    """
+    sym = [{s: k for k, s in enumerate(dist.alphabets[v])} for v in pooled]
+    t_of: dict[tuple, int] = {}
+    rows, mass = [], []
+    for key, pr in dist.pmf.items():
+        t = t_of.setdefault(tuple(key[i] for i in t_idx), len(t_of))
+        rows.append((t, *(s[key[v]] for s, v in zip(sym, pooled))))
+        mass.append(pr)
+    shape = (len(t_of), *(len(s) for s in sym))
+    cells = math.prod(shape)
+    if cells > _MAX_CELLS:
+        raise UnsupportedError(
+            f"the pooled sources and target span {cells} cells, beyond the cap of {_MAX_CELLS}"
+        )
+    p = np.zeros(shape)
+    np.add.at(p, tuple(np.array(rows).T), mass)
+    return p
+
+
+def _bits(masses: np.ndarray) -> float:
+    x = masses[masses > 0.0]
+    return float(-(x * np.log2(x)).sum())
+
+
 def ci_union_information(
     dist: JointDistribution, target: VariableSet, collection: SourceCollection
 ) -> float:
@@ -146,29 +185,49 @@ def ci_union_information(
 
     The collection is normalized first, so duplicated or functionally
     redundant sources do not change the answer.
-    """
-    if len(target) == 0:
-        raise ArgumentError("target must be non-empty")
-    _check_vars(dist, target, "target")
 
+    Every partition is scored on one array of p without building its
+    surrogate: given the target the blocks are independent, so
+    I_q(A;T) = H_q(A) - sum over blocks b of H(A_b|T), with
+    q(a) = sum over t of p(t) prod_b p(a_b|t).  Block terms are shared
+    between partitions.  The scan stops once a partition reaches I_p,
+    which is then the answer; a lone source reaches it at once.
+    """
+    _check_target(dist, target)
     norm = normalize_sources(dist, collection)
     pooled = norm.union().indices
     i_p = _mi_lenient(dist, pooled, target.indices)
+    if len(norm) == 1:
+        # its one-block partition keeps p itself, so I_q = I_p there
+        return i_p
 
-    vars_q = sorted(set(pooled) | set(target.indices))
-    qa = [vars_q.index(v) for v in pooled]
-    qt = [vars_q.index(v) for v in target.indices]
+    p = _pooled_array(dist, target.indices, pooled)
+    p_t = p.sum(axis=tuple(range(1, p.ndim)), keepdims=True)
+    h_t = _bits(p_t)
+    terms: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
+
+    def block_term(block: tuple[int, ...]) -> tuple[np.ndarray, float]:
+        """p(a_b|t) over the pooled axes, and H(A_b|T)."""
+        if block not in terms:
+            others = tuple(1 + k for k, v in enumerate(pooled) if v not in block)
+            joint = p.sum(axis=others, keepdims=True)
+            terms[block] = (joint / p_t, _bits(joint) - h_t)
+        return terms[block]
 
     best = -math.inf
     for part in enumerate_ci_partitions(norm):
-        q = build_q(dist, target, part)
-        best = max(best, _mi_lenient(q, qa, qt))
+        q = p_t
+        h_cond = 0.0
+        for b in part.blocks:
+            cond, h = block_term(b.indices)
+            q = q * cond
+            h_cond += h
+        i_q = _clamp_nonneg(_bits(q.sum(axis=0)) - h_cond, "mutual information")
+        best = max(best, i_q)
+        if best >= i_p:
+            break
 
     return min(i_p, best)
-
-
-def _source_variables(dist: JointDistribution, target: VariableSet) -> list[int]:
-    return [i for i in range(dist.n_vars) if i not in target]
 
 
 def ci_synergy(
@@ -185,17 +244,11 @@ def ci_synergy(
     collection already covers the target variables.  With ``collection``
     omitted, all non-target variables are used as singleton sources.
     """
-    if len(target) == 0:
-        raise ArgumentError("target must be non-empty")
-    _check_vars(dist, target, "target")
-    src = _source_variables(dist, target)
+    _check_target(dist, target)
     if collection is None:
-        if not src:
-            raise ArgumentError("no predictor variables outside the target")
-        collection = SourceCollection.singletons(src)
-    minuend = sorted(set(src) | set(collection.union().indices))
-    if not minuend:
-        raise ArgumentError("no predictor variables outside the target")
+        collection = SourceCollection.singletons(_source_variables(dist, target))
+    pooled = collection.union()
+    minuend = [i for i in range(dist.n_vars) if i not in target or i in pooled]
     i_total = _mi_lenient(dist, minuend, target.indices)
     s = i_total - ci_union_information(dist, target, collection)
     if s < 0.0:
@@ -212,9 +265,6 @@ def ci_bivariate_decomposition(dist: JointDistribution, target: VariableSet) -> 
     the unique contribution of the lower-indexed predictor.  The atoms
     satisfy R + U1 + U2 + S = I(Y1,Y2; T) to within rounding.
     """
-    if len(target) == 0:
-        raise ArgumentError("target must be non-empty")
-    _check_vars(dist, target, "target")
     src = _source_variables(dist, target)
     if len(src) != 2:
         raise ArgumentError(

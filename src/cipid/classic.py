@@ -21,10 +21,12 @@ from .ci import PidResult, build_q
 from .distribution import (
     JointDistribution,
     VariableSet,
+    _check_target,
     _check_vars,
     _clamp_nonneg,
     _marginal_pmf,
     _mi_lenient,
+    _source_variables,
 )
 from .errors import (
     ArgumentError,
@@ -35,19 +37,6 @@ from .errors import (
 )
 from .simplex import solve_lp
 from .sources import CiPartition, SourceCollection
-
-
-def _source_variables(dist: JointDistribution, target: VariableSet) -> list[int]:
-    out = [i for i in range(dist.n_vars) if i not in target]
-    if not out:
-        raise ArgumentError("no predictor variables outside the target")
-    return out
-
-
-def _validate_target(dist: JointDistribution, target: VariableSet) -> None:
-    if len(target) == 0:
-        raise ArgumentError("target must be non-empty")
-    _check_vars(dist, target, "target")
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +50,6 @@ def wms_synergy(dist: JointDistribution, target: VariableSet) -> float:
     Needs at least two predictor variables.  Can be negative when the
     predictors are redundant.
     """
-    _validate_target(dist, target)
     src = _source_variables(dist, target)
     if len(src) < 2:
         raise ArgumentError("whole-minus-sum synergy needs at least two predictors")
@@ -84,7 +72,7 @@ def specific_information(
     ``t`` may be a bare symbol when the target is a single variable.
     Raises if p(t) is zero.
     """
-    _validate_target(dist, target)
+    _check_target(dist, target)
     if len(source) == 0:
         raise ArgumentError("source must be non-empty")
     _check_vars(dist, source, "source")
@@ -123,7 +111,7 @@ def imin_redundancy(
     between the source posterior given t and the source prior, so every
     term inside the minimum is itself non-negative.
     """
-    _validate_target(dist, target)
+    _check_target(dist, target)
     p_t = _marginal_pmf(dist, target.indices)
     total = 0.0
     for tval, pt in p_t.items():
@@ -219,7 +207,6 @@ def wb_pid(dist: JointDistribution, target: VariableSet) -> PidResult:
     the expected-minimum redundancy along the lattice and sum to the
     joint mutual information (checked to 1e-6).
     """
-    _validate_target(dist, target)
     src = _source_variables(dist, target)
     n = len(src)
     if n not in (2, 3):
@@ -298,7 +285,6 @@ def delta_i_synergy(dist: JointDistribution, target: VariableSet) -> float:
     log2 p(t|y) - log2 q(t|y) under the true joint.  Non-negative, and
     not bounded by I(Y;T).
     """
-    _validate_target(dist, target)
     src = _source_variables(dist, target)
 
     part = CiPartition(
@@ -462,7 +448,6 @@ def dep_synergy(dist: JointDistribution, target: VariableSet) -> PidResult:
     - ``U1``/``U2``: min over the two models of I(Y_i; T | Y_other)
     - ``I_q``/``I_r``: the two reduced joint informations
     """
-    _validate_target(dist, target)
     src = _source_variables(dist, target)
     if len(src) != 2:
         raise ArgumentError(
@@ -539,7 +524,6 @@ def iep_bivariate_from_redundancy(
     negative when the supplied redundancy exceeds what the interaction
     supports.
     """
-    _validate_target(dist, target)
     src = _source_variables(dist, target)
     if len(src) != 2:
         raise ArgumentError(

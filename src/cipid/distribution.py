@@ -214,6 +214,21 @@ def _check_vars(dist: JointDistribution, vs: VariableSet, what: str = "variables
             )
 
 
+def _check_target(dist: JointDistribution, target: VariableSet) -> None:
+    if len(target) == 0:
+        raise ArgumentError("target must be non-empty")
+    _check_vars(dist, target, "target")
+
+
+def _source_variables(dist: JointDistribution, target: VariableSet) -> list[int]:
+    """The non-target variables, after checking the target."""
+    _check_target(dist, target)
+    out = [i for i in range(dist.n_vars) if i not in target]
+    if not out:
+        raise ArgumentError("no predictor variables outside the target")
+    return out
+
+
 def _marginal_pmf(dist: JointDistribution, indices: Sequence[int]) -> dict[Outcome, float]:
     idx = tuple(indices)
     out: dict[Outcome, float] = {}

@@ -16,6 +16,7 @@ empty.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -175,18 +176,6 @@ class CiPartition:
             seen |= set(b.indices)
 
 
-def _set_partitions(items: Sequence[int]):
-    """Yield all set partitions of ``items`` as lists of sorted tuples."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for k in range(len(part)):
-            yield part[:k] + [tuple(sorted((first,) + part[k]))] + part[k + 1 :]
-        yield [(first,)] + part
-
-
 def enumerate_ci_partitions(collection: SourceCollection) -> tuple[CiPartition, ...]:
     """All partitions of the pooled variables into blocks that fit in a source.
 
@@ -197,14 +186,26 @@ def enumerate_ci_partitions(collection: SourceCollection) -> tuple[CiPartition, 
     pooled = tuple(collection.union().indices)
     member_sets = [set(s.members.indices) for s in collection]
 
-    found: list[tuple[tuple[int, ...], ...]] = []
-    for part in _set_partitions(pooled):
-        if all(any(set(b) <= m for m in member_sets) for b in part):
-            found.append(tuple(sorted(part)))
+    def grow(rest: tuple[int, ...]):
+        # The block holding the smallest remaining variable is chosen
+        # first, so every partition is reached exactly once.
+        if not rest:
+            yield ()
+            return
+        first, others = rest[0], rest[1:]
+        blocks = set()
+        for m in member_sets:
+            if first in m:
+                inside = [v for v in others if v in m]
+                for r in range(len(inside) + 1):
+                    blocks.update((first,) + c for c in itertools.combinations(inside, r))
+        for b in blocks:
+            left = tuple(v for v in others if v not in b)
+            for tail in grow(left):
+                yield (b,) + tail
 
-    found.sort(key=lambda p: (len(p), p))
     out = []
-    for part in found:
+    for part in sorted(grow(pooled), key=lambda p: (len(p), p)):
         blocks = tuple(VariableSet(b) for b in part)
         witness = tuple(
             next(i for i, m in enumerate(member_sets) if set(b) <= m) for b in part

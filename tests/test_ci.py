@@ -1,11 +1,16 @@
 """Union information and synergy from conditional-independence surrogates."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cipid import (
     ArgumentError,
+    JointDistribution,
+    UnsupportedError,
     VariableSet,
     build_q,
     canonical,
@@ -14,9 +19,12 @@ from cipid import (
     ci_union_information,
     conditional_mutual_information,
     entropy,
+    enumerate_ci_partitions,
     mutual_information,
+    normalize_sources,
 )
 from cipid.ci import PidResult
+from cipid.distribution import _mi_lenient
 from cipid.sources import CiPartition, SourceCollection
 
 
@@ -123,6 +131,66 @@ class TestUnionInformation:
         d = canonical("AND")
         with pytest.raises(ArgumentError):
             ci_union_information(d, VariableSet(()), SourceCollection.of((1,)))
+
+    def test_too_many_cells_rejected(self):
+        """Two sparse groups of 12 and 11 binary variables span 4 * 2^23 cells."""
+        a = [("0",) * 12, ("1",) * 12]
+        b = [("0",) * 11, ("0", "1") * 5 + ("0",)]
+        pmf = {(str(2 * i + j),) + a[i] + b[j]: 0.25 for i in (0, 1) for j in (0, 1)}
+        alphabets = [("0", "1", "2", "3")] + [("0", "1")] * 23
+        d = JointDistribution(["T"] + [f"Y{i}" for i in range(1, 24)], pmf, alphabets)
+        coll = SourceCollection.of(range(1, 13), range(13, 24))
+        with pytest.raises(UnsupportedError, match=str(4 * 2**23)):
+            ci_union_information(d, VariableSet.of(0), coll)
+
+
+def reference_union(dist, target, collection):
+    """The defining formula: min(I_p, max over partitions of I on build_q)."""
+    norm = normalize_sources(dist, collection)
+    pooled = norm.union().indices
+    vars_q = sorted(set(pooled) | set(target.indices))
+    qa = [vars_q.index(v) for v in pooled]
+    qt = [vars_q.index(v) for v in target.indices]
+    best = max(
+        _mi_lenient(build_q(dist, target, part), qa, qt)
+        for part in enumerate_ci_partitions(norm)
+    )
+    return min(_mi_lenient(dist, pooled, target.indices), best)
+
+
+@st.composite
+def union_cases(draw):
+    """Dirichlet pmfs with about a fifth of their cells zeroed, one- or
+    two-variable targets, and two or three predictor groups.  The first
+    group may also hold a target variable."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arities = [draw(st.integers(2, 3)) for _ in range(draw(st.integers(3, 5)))]
+    p = rng.dirichlet(np.ones(math.prod(arities))) * (rng.random(math.prod(arities)) > 0.2)
+    assume(p.sum() > 0)
+    cells = itertools.product(*[[str(s) for s in range(a)] for a in arities])
+    dist = JointDistribution(
+        tuple(f"V{i}" for i in range(len(arities))),
+        {c: w / p.sum() for c, w in zip(cells, p) if w > 0},
+        alphabets=tuple(tuple(str(s) for s in range(a)) for a in arities),
+    )
+    target = tuple(range(draw(st.integers(1, 2))))
+    predictors = st.sampled_from(range(len(target), len(arities)))
+    groups = draw(
+        st.lists(st.frozensets(predictors, min_size=1, max_size=2), min_size=2, max_size=3, unique=True)
+    )
+    extra = draw(st.sampled_from((None,) + target))
+    if extra is not None:
+        groups[0] |= {extra}
+    return dist, VariableSet(target), SourceCollection.of(*groups)
+
+
+@given(union_cases())
+@settings(max_examples=150, deadline=None)
+def test_union_matches_the_surrogate_definition(case):
+    dist, target, coll = case
+    assert ci_union_information(dist, target, coll) == pytest.approx(
+        reference_union(dist, target, coll), abs=1e-9
+    )
 
 
 class TestSynergy:

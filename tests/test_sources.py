@@ -1,6 +1,7 @@
 """Source collections, normalization, and partition enumeration."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cipid import (
     ArgumentError,
@@ -114,6 +115,53 @@ class TestEnumeratePartitions:
         a = enumerate_ci_partitions(coll)
         b = enumerate_ci_partitions(coll)
         assert [p.blocks for p in a] == [p.blocks for p in b]
+
+    def test_twelve_singletons_give_one_partition(self):
+        """Bell(12) set partitions exist, but only one is admissible."""
+        parts = enumerate_ci_partitions(SourceCollection.singletons(range(12)))
+        assert len(parts) == 1
+        assert [b.indices for b in parts[0].blocks] == [(i,) for i in range(12)]
+        assert parts[0].witness == tuple(range(12))
+
+
+def all_set_partitions(items):
+    """Every set partition of ``items``, as lists of sorted tuples."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in all_set_partitions(rest):
+        for k in range(len(part)):
+            yield part[:k] + [tuple(sorted((first,) + part[k]))] + part[k + 1 :]
+        yield [(first,)] + part
+
+
+def brute_force_partitions(collection):
+    """Filter all set partitions to the admissible ones, in the documented order."""
+    members = [set(s.members.indices) for s in collection]
+    found = sorted(
+        (
+            tuple(sorted(part))
+            for part in all_set_partitions(collection.union().indices)
+            if all(any(set(b) <= m for m in members) for b in part)
+        ),
+        key=lambda p: (len(p), p),
+    )
+    return [
+        (part, tuple(next(i for i, m in enumerate(members) if set(b) <= m) for b in part))
+        for part in found
+    ]
+
+
+@given(st.lists(st.sets(st.integers(0, 6), min_size=1), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_enumeration_matches_filtered_set_partitions(groups):
+    coll = SourceCollection.of(*groups)
+    got = [
+        (tuple(b.indices for b in p.blocks), p.witness)
+        for p in enumerate_ci_partitions(coll)
+    ]
+    assert got == brute_force_partitions(coll)
 
 
 def test_partition_validation():
