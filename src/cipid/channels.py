@@ -13,7 +13,6 @@ converges to the global minimum.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,11 +22,16 @@ from .distribution import (
     Channel,
     JointDistribution,
     VariableSet,
+    _cell_map,
+    _channel_information,
     _check_target,
     _check_vars,
-    _marginal_pmf,
+    _clamp_nonneg,
+    _dense_shape,
+    _from_table,
     _mi_lenient,
     _source_variables,
+    _table,
     channel_from,
 )
 from .errors import ArgumentError, ConsistencyError, SolverError
@@ -129,16 +133,6 @@ def degradation_leq(
     return True, DegradationWitness(m, residual)
 
 
-def _mi_tw(w: np.ndarray, k: np.ndarray) -> float:
-    out = w @ k
-    total = 0.0
-    for t in range(k.shape[0]):
-        for q in range(k.shape[1]):
-            if k[t, q] > 0.0 and out[q] > 0.0:
-                total += w[t] * k[t, q] * math.log2(k[t, q] / out[q])
-    return max(total, 0.0)
-
-
 def degradation_redundancy(
     dist: JointDistribution,
     target: VariableSet,
@@ -198,20 +192,15 @@ def degradation_redundancy(
         return mats[0] @ m1
 
     def objective(x: np.ndarray) -> float:
-        return _mi_tw(w, kq_of(x))
+        return _channel_information(w, kq_of(x))
 
     def linearized(x: np.ndarray) -> np.ndarray:
         kq = kq_of(x)
         out = w @ kq
-        g = np.zeros((nt, n_out))
-        for t in range(nt):
-            for q in range(n_out):
-                if kq[t, q] > 1e-15 and out[q] > 1e-15:
-                    g[t, q] = w[t] * math.log2(kq[t, q] / out[q])
+        ok = (kq > 1e-15) & (out > 1e-15)
+        g = w[:, None] * np.log2(np.where(ok, kq, 1.0) / np.where(ok, out, 1.0))
         c = np.zeros(nv)
-        for r in range(widths[0]):
-            for q in range(n_out):
-                c[int(offsets[0]) + r * n_out + q] = float(mats[0][:, r] @ g[:, q])
+        c[int(offsets[0]) : int(offsets[1])] = (mats[0].T @ g).ravel()
         return c
 
     def vertex_toward(c: np.ndarray) -> np.ndarray:
@@ -291,30 +280,31 @@ def vk_union_information(
 
     t_idx = target.indices
     pooled = collection.union().indices
-    p_t = _marginal_pmf(dist, t_idx)
-    tvals = sorted(p_t)
-    avals = list(itertools.product(*(dist.alphabets[v] for v in pooled)))
-    nt, na = len(tvals), len(avals)
-    w = np.array([p_t[tv] for tv in tvals])
+    p_t = _table(dist, t_idx).ravel()
+    live = p_t > 0.0
+    w = p_t[live]
+    eps = 1e-18
 
-    # one constraint row per source value; right-hand sides vary with t
-    rows = []
-    rhs = [[] for _ in range(nt)]
+    def given_t(idx: tuple[int, ...]) -> np.ndarray:
+        """p(idx | t), one row per target state of positive mass."""
+        return _table(dist, t_idx + idx).reshape(p_t.size, -1)[live] / w[:, None]
+
+    # start 1 is the true conditional p(a|t), start 2 the renormalized
+    # product of the per-source conditionals; each source value gives one
+    # constraint row, whose right-hand side varies with t
+    x_true = given_t(pooled)
+    shape = _dense_shape(dist, pooled)
+    x_prod = np.ones_like(x_true)
+    rows, rhs = [], []
     for src in collection:
-        s_idx = src.members.indices
-        s_pos = [pooled.index(v) for v in s_idx]
-        joint = _marginal_pmf(dist, s_idx + t_idx)
-        ns = len(s_idx)
-        svals = sorted({tuple(av[j] for j in s_pos) for av in avals})
-        cond = {}
-        for key, p in joint.items():
-            cond[(key[ns:], key[:ns])] = cond.get((key[ns:], key[:ns]), 0.0) + p
-        for sv in svals:
-            rows.append([1.0 if tuple(av[j] for j in s_pos) == sv else 0.0 for av in avals])
-            for ti, tv in enumerate(tvals):
-                rhs[ti].append(cond.get((tv, sv), 0.0) / p_t[tv])
-    a_mat = np.array(rows)
-    b_mat = np.array(rhs)
+        value = _cell_map(shape, [pooled.index(v) for v in src.members.indices])
+        cond = given_t(src.members.indices)
+        rows.append(value == np.arange(cond.shape[1])[:, None])
+        rhs.append(cond)
+        x_prod *= cond[:, value]
+    x_prod /= np.maximum(x_prod.sum(axis=1, keepdims=True), eps)
+    a_mat = np.vstack(rows).astype(float)
+    b_mat = np.hstack(rhs)
     a_pinv = np.linalg.pinv(a_mat)
 
     def proj_affine(x: np.ndarray) -> np.ndarray:
@@ -336,8 +326,6 @@ def vk_union_information(
             raise SolverError("projection onto the coupling constraints did not converge")
         return x
 
-    eps = 1e-18
-
     def f(x: np.ndarray) -> float:
         xb = w @ x
         z = x * np.log2(np.maximum(x, eps) / np.maximum(xb, eps)[None, :])
@@ -347,30 +335,6 @@ def vk_union_information(
     def grad(x: np.ndarray) -> np.ndarray:
         xb = w @ x
         return w[:, None] * np.log2(np.maximum(x, eps) / np.maximum(xb, eps)[None, :])
-
-    # start 1: the true conditional p(a|t)
-    joint_at = _marginal_pmf(dist, tuple(pooled) + t_idx)
-    npool = len(pooled)
-    aval_pos = {av: i for i, av in enumerate(avals)}
-    tval_pos = {tv: i for i, tv in enumerate(tvals)}
-    x_true = np.zeros((nt, na))
-    for key, p in joint_at.items():
-        x_true[tval_pos[key[npool:]], aval_pos[key[:npool]]] += p / p_t[key[npool:]]
-
-    # start 2: product of per-source conditionals, renormalized
-    x_prod = np.ones((nt, na))
-    for src in collection:
-        s_idx = src.members.indices
-        s_pos = [pooled.index(v) for v in s_idx]
-        joint = _marginal_pmf(dist, s_idx + t_idx)
-        ns = len(s_idx)
-        cond: dict[tuple, float] = {}
-        for key, p in joint.items():
-            cond[(key[ns:], key[:ns])] = cond.get((key[ns:], key[:ns]), 0.0) + p / p_t[key[ns:]]
-        for ti, tv in enumerate(tvals):
-            for ai, av in enumerate(avals):
-                x_prod[ti, ai] *= cond.get((tv, tuple(av[j] for j in s_pos)), 0.0)
-    x_prod /= np.maximum(x_prod.sum(axis=1, keepdims=True), eps)
 
     best_f = math.inf
     best_x = None
@@ -410,26 +374,11 @@ def vk_union_information(
             f"optimizer left the constraint set (residual {residual:.3e})"
         )
 
-    vars_out = sorted(set(pooled) | set(t_idx))
-    pos = {v: k for k, v in enumerate(vars_out)}
-    mass = float(w @ best_x.sum(axis=1))
-    pmf: dict[tuple, float] = {}
-    for ti, tv in enumerate(tvals):
-        for ai, av in enumerate(avals):
-            p = w[ti] * best_x[ti, ai] / mass
-            if p <= 0.0:
-                continue
-            outcome = [None] * len(vars_out)
-            for v, sym in zip(t_idx, tv):
-                outcome[pos[v]] = sym
-            for v, sym in zip(pooled, av):
-                outcome[pos[v]] = sym
-            key = tuple(outcome)
-            pmf[key] = pmf.get(key, 0.0) + p
-    argument = JointDistribution(
-        tuple(dist.var_names[v] for v in vars_out),
-        pmf,
-        alphabets=tuple(dist.alphabets[v] for v in vars_out),
+    joint = np.zeros((p_t.size, best_x.shape[1]))
+    joint[live] = w[:, None] * best_x / float(w @ best_x.sum(axis=1))
+    joint = joint.reshape(_dense_shape(dist, t_idx) + shape)
+    argument = _from_table(
+        dist, sorted(t_idx + pooled), joint.transpose(np.argsort(t_idx + pooled))
     )
 
     certificate = max(
@@ -462,9 +411,4 @@ def s_d(
     norm = normalize_sources(dist, collection)
     i_total = _mi_lenient(dist, src, target.indices)
     report = vk_union_information(dist, target, norm)
-    s = i_total - report.value
-    if s < 0.0:
-        if s < -1e-9:
-            raise ConsistencyError(f"synergy came out {s}, beyond -1e-9")
-        return 0.0
-    return s
+    return _clamp_nonneg(i_total - report.value, "synergy")

@@ -16,7 +16,6 @@ beyond that union.
 
 from __future__ import annotations
 
-import itertools
 import math
 from types import MappingProxyType
 from typing import Mapping
@@ -29,11 +28,13 @@ from .distribution import (
     _check_target,
     _check_vars,
     _clamp_nonneg,
-    _marginal_pmf,
+    _dense_shape,
+    _from_table,
     _mi_lenient,
     _source_variables,
+    _table,
 )
-from .errors import ArgumentError, ConsistencyError, UnsupportedError
+from .errors import ArgumentError, ConsistencyError
 from .sources import (
     CiPartition,
     SourceCollection,
@@ -97,80 +98,28 @@ def build_q(
     Blocks that overlap the target are consistent by construction,
     because conditioning on the full target pins their shared symbols.
     The result's variables are the union of target and pooled source
-    variables in distribution order, with the original alphabets.
+    variables in distribution order, with the original alphabets.  Past
+    2^22 cells over those variables it raises
+    :class:`~cipid.errors.UnsupportedError`.
     """
     _check_target(dist, target)
     for b in partition.blocks:
         _check_vars(dist, b, "partition block")
 
-    t_idx = target.indices
-    pooled = sorted(set().union(*(set(b.indices) for b in partition.blocks)))
-    vars_q = sorted(set(pooled) | set(t_idx))
-    pos = {v: k for k, v in enumerate(vars_q)}
+    t_set = set(target.indices)
+    layout = sorted(t_set.union(*(b.indices for b in partition.blocks)))
+    _dense_shape(dist, layout)
 
-    p_t = _marginal_pmf(dist, t_idx)
+    def aligned(vs: list[int]) -> np.ndarray:
+        """p over the sorted variables ``vs``, broadcast into the layout."""
+        return _table(dist, vs).reshape([len(dist.alphabets[v]) if v in vs else 1 for v in layout])
 
-    conds = []
+    p_t = aligned(sorted(t_set))
+    q = p_t
     for b in partition.blocks:
-        joint = _marginal_pmf(dist, tuple(b.indices) + t_idx)
-        nb = len(b)
-        table: dict[tuple, list[tuple[tuple, float]]] = {}
-        for key, p in joint.items():
-            bval, tval = key[:nb], key[nb:]
-            table.setdefault(tval, []).append((bval, p / p_t[tval]))
-        conds.append(table)
-
-    q: dict[tuple, float] = {}
-    for tval, pt in p_t.items():
-        per_block = [table.get(tval, []) for table in conds]
-        for combo in itertools.product(*per_block):
-            outcome = [None] * len(vars_q)
-            for v, s in zip(t_idx, tval):
-                outcome[pos[v]] = s
-            p = pt
-            for (bval, pb), b in zip(combo, partition.blocks):
-                p *= pb
-                for v, s in zip(b.indices, bval):
-                    outcome[pos[v]] = s
-            key = tuple(outcome)
-            q[key] = q.get(key, 0.0) + p
-
-    return JointDistribution(
-        tuple(dist.var_names[v] for v in vars_q),
-        q,
-        alphabets=tuple(dist.alphabets[v] for v in vars_q),
-    )
-
-
-# Cap on the cells of the dense array ci_union_information builds
-# (target states times the pooled product alphabet): 32 MB of doubles.
-_MAX_CELLS = 1 << 22
-
-
-def _pooled_array(
-    dist: JointDistribution, t_idx: tuple[int, ...], pooled: tuple[int, ...]
-) -> np.ndarray:
-    """p as an array: axis 0 runs over the target states of positive mass,
-    then one axis per pooled variable over its alphabet.
-
-    Pooled variables that belong to the target keep their own axis.
-    """
-    sym = [{s: k for k, s in enumerate(dist.alphabets[v])} for v in pooled]
-    t_of: dict[tuple, int] = {}
-    rows, mass = [], []
-    for key, pr in dist.pmf.items():
-        t = t_of.setdefault(tuple(key[i] for i in t_idx), len(t_of))
-        rows.append((t, *(s[key[v]] for s, v in zip(sym, pooled))))
-        mass.append(pr)
-    shape = (len(t_of), *(len(s) for s in sym))
-    cells = math.prod(shape)
-    if cells > _MAX_CELLS:
-        raise UnsupportedError(
-            f"the pooled sources and target span {cells} cells, beyond the cap of {_MAX_CELLS}"
-        )
-    p = np.zeros(shape)
-    np.add.at(p, tuple(np.array(rows).T), mass)
-    return p
+        joint = aligned(sorted(t_set | set(b.indices)))
+        q = q * np.divide(joint, p_t, out=np.zeros_like(joint), where=p_t > 0.0)
+    return _from_table(dist, layout, q)
 
 
 def _bits(masses: np.ndarray) -> float:
@@ -201,8 +150,13 @@ def ci_union_information(
         # its one-block partition keeps p itself, so I_q = I_p there
         return i_p
 
-    p = _pooled_array(dist, target.indices, pooled)
+    # axis 0 runs over the target states of positive mass, then one axis
+    # per pooled variable; a pooled target variable keeps its own axis
+    p = _table(dist, target.indices + pooled)
+    p = p.reshape(-1, *p.shape[len(target):])
     p_t = p.sum(axis=tuple(range(1, p.ndim)), keepdims=True)
+    live = p_t.ravel() > 0.0
+    p, p_t = p[live], p_t[live]
     h_t = _bits(p_t)
     terms: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
 
@@ -250,12 +204,7 @@ def ci_synergy(
     pooled = collection.union()
     minuend = [i for i in range(dist.n_vars) if i not in target or i in pooled]
     i_total = _mi_lenient(dist, minuend, target.indices)
-    s = i_total - ci_union_information(dist, target, collection)
-    if s < 0.0:
-        if s < -1e-9:
-            raise ConsistencyError(f"synergy came out {s}, beyond -1e-9")
-        return 0.0
-    return s
+    return _clamp_nonneg(i_total - ci_union_information(dist, target, collection), "synergy")
 
 
 def ci_bivariate_decomposition(dist: JointDistribution, target: VariableSet) -> PidResult:

@@ -22,11 +22,15 @@ from .distribution import (
     JointDistribution,
     VariableSet,
     _check_target,
+    _cell_map,
     _check_vars,
     _clamp_nonneg,
+    _from_table,
     _marginal_pmf,
     _mi_lenient,
+    _outcomes,
     _source_variables,
+    _table,
 )
 from .errors import (
     ArgumentError,
@@ -290,32 +294,24 @@ def delta_i_synergy(dist: JointDistribution, target: VariableSet) -> float:
     part = CiPartition(
         tuple(VariableSet.of(v) for v in src), tuple(range(len(src)))
     )
-    q = build_q(dist, target, part)
+    every = range(dist.n_vars)
+    p = _table(dist, every)
+    q = _table(build_q(dist, target, part), every)
+    on = p > 0.0
+    bad = np.flatnonzero(on & (q <= 0.0))
+    if bad.size:
+        raise DomainError(
+            "independent surrogate assigns zero probability to outcome "
+            f"{_outcomes(dist, every, bad[:1])[0]!r}"
+        )
 
-    src_pos = [q.index_of(dist.var_names[v]) for v in src]
-    t_pos = [q.index_of(dist.var_names[v]) for v in target.indices]
+    def posterior(a: np.ndarray) -> np.ndarray:
+        """a(t|y) on the support of p."""
+        y = a.sum(axis=target.indices, keepdims=True)
+        return np.divide(a, y, out=np.zeros_like(a), where=on)[on]
 
-    p_y = _marginal_pmf(dist, tuple(src))
-    q_y = _marginal_pmf(q, tuple(src_pos))
-
-    order = sorted(set(src) | set(target.indices))
-    total = 0.0
-    for key, p in dist.pmf.items():
-        full = tuple(key[v] for v in order)
-        yval = tuple(key[v] for v in src)
-        qp = q.prob(full)
-        if qp <= 0.0 or q_y.get(yval, 0.0) <= 0.0:
-            raise DomainError(
-                f"independent surrogate assigns zero probability to outcome {full!r}"
-            )
-        p_post = p / p_y[yval]
-        q_post = qp / q_y[yval]
-        total += p * (math.log2(p_post) - math.log2(q_post))
-    if total < 0.0:
-        if total < -1e-9:
-            raise ConsistencyError(f"divergence came out {total}, beyond -1e-9")
-        return 0.0
-    return total
+    total = float((p[on] * (np.log2(posterior(p)) - np.log2(posterior(q)))).sum())
+    return _clamp_nonneg(total, "divergence")
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +319,7 @@ def delta_i_synergy(dist: JointDistribution, target: VariableSet) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _null_cells(dist: JointDistribution, cells: list, plans: list) -> np.ndarray:
+def _null_cells(p: np.ndarray, plans: list) -> np.ndarray:
     """Mask of cells that carry no mass in any distribution with the marginals.
 
     Cells under a zero marginal target are null outright.  A cell can
@@ -334,29 +330,20 @@ def _null_cells(dist: JointDistribution, cells: list, plans: list) -> np.ndarray
     constraint polytope.  Zeroing them does not change the fit: the
     maximum-entropy distribution lives on the maximal feasible support.
     """
-    ncells = len(cells)
-    mask = np.zeros(ncells, dtype=bool)
-    for mapping, tvec, _ in plans:
+    mask = np.zeros(p.size, dtype=bool)
+    for mapping, tvec in plans:
         mask |= tvec[mapping] <= 0.0
 
-    candidates = [
-        i for i in range(ncells)
-        if not mask[i] and dist.prob(cells[i]) <= 0.0
-    ]
-    if not candidates:
+    candidates = np.flatnonzero(~mask & (p <= 0.0))
+    if not candidates.size:
         return mask
 
-    a_eq = np.zeros((sum(k for _, _, k in plans), ncells))
-    b_eq = np.zeros(a_eq.shape[0])
-    row = 0
-    for mapping, tvec, k in plans:
-        for s in range(k):
-            a_eq[row + s, mapping == s] = 1.0
-        b_eq[row:row + k] = tvec
-        row += k
+    rows = [mapping == np.arange(tvec.size)[:, None] for mapping, tvec in plans]
+    a_eq = np.vstack(rows).astype(float)
+    b_eq = np.concatenate([tvec for _, tvec in plans])
 
     for i in candidates:
-        c = np.zeros(ncells)
+        c = np.zeros(p.size)
         c[i] = 1.0
         sol = solve_lp(c, a_eq, b_eq, maximize=True)
         if sol.status == "optimal" and sol.objective <= 1e-12:
@@ -394,32 +381,23 @@ def maxent_ipf(
             f"preserved marginals must cover every variable; missing {missing}"
         )
 
-    cells = list(itertools.product(*dist.alphabets))
-    ncells = len(cells)
-    x = np.full(ncells, 1.0 / ncells)
-
-    plans = []
-    for vs in preserved_marginals:
-        idx = vs.indices
-        sub_states = sorted({tuple(c[i] for i in idx) for c in cells},
-                            key=lambda s: (repr(s),))
-        sub_pos = {s: k for k, s in enumerate(sub_states)}
-        mapping = np.array([sub_pos[tuple(c[i] for i in idx)] for c in cells])
-        wanted = _marginal_pmf(dist, idx)
-        tvec = np.array([wanted.get(s, 0.0) for s in sub_states])
-        plans.append((mapping, tvec, len(sub_states)))
-
-    x[_null_cells(dist, cells, plans)] = 0.0
+    p = _table(dist, range(dist.n_vars))
+    x = np.full(p.size, 1.0 / p.size)
+    plans = [
+        (_cell_map(p.shape, vs.indices), _table(dist, vs.indices).ravel())
+        for vs in preserved_marginals
+    ]
+    x[_null_cells(p.ravel(), plans)] = 0.0
 
     for sweep in range(max_sweeps):
-        for mapping, tvec, k in plans:
-            cur = np.bincount(mapping, weights=x, minlength=k)
+        for mapping, tvec in plans:
+            cur = np.bincount(mapping, weights=x, minlength=tvec.size)
             factor = np.divide(tvec, cur, out=np.zeros_like(tvec), where=cur > 0.0)
             x *= factor[mapping]
-        residual = 0.0
-        for mapping, tvec, k in plans:
-            cur = np.bincount(mapping, weights=x, minlength=k)
-            residual = max(residual, float(np.max(np.abs(cur - tvec))))
+        residual = max(
+            float(np.max(np.abs(np.bincount(mapping, weights=x, minlength=tvec.size) - tvec)))
+            for mapping, tvec in plans
+        )
         if residual < tol:
             break
     else:
@@ -427,8 +405,7 @@ def maxent_ipf(
             f"iterative scaling did not converge in {max_sweeps} sweeps", residual
         )
 
-    pmf = {cells[i]: float(x[i]) for i in range(ncells) if x[i] > 0.0}
-    return JointDistribution(dist.var_names, pmf, alphabets=dist.alphabets)
+    return _from_table(dist, range(dist.n_vars), x.reshape(p.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +463,7 @@ def dep_synergy(dist: JointDistribution, target: VariableSet) -> PidResult:
     i_q = joint_info(q)
     i_r = joint_info(r)
 
-    s = i_p - min(i_q, i_r)
-    if s < 0.0:
-        if s < -1e-9:
-            raise ConsistencyError(f"synergy came out {s}, beyond -1e-9")
-        s = 0.0
+    s = _clamp_nonneg(i_p - min(i_q, i_r), "synergy")
 
     u1 = _clamp_nonneg(
         min(

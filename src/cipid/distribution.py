@@ -23,7 +23,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, ConsistencyError, DomainError
+from .errors import ArgumentError, ConsistencyError, DomainError, UnsupportedError
 
 TOL = 1e-9
 
@@ -238,6 +238,75 @@ def _marginal_pmf(dist: JointDistribution, indices: Sequence[int]) -> dict[Outco
     return out
 
 
+# Cap on the cells of a dense table (the product of its axes' alphabet
+# sizes): 32 MB of doubles.
+_MAX_CELLS = 1 << 22
+# Cap on the CI partitions a source collection may admit.
+_MAX_PARTITIONS = 1 << 16
+
+
+def _dense_shape(dist: JointDistribution, indices: Sequence[int]) -> tuple[int, ...]:
+    """Alphabet sizes of ``indices``; raises beyond the cell cap."""
+    shape = tuple(len(dist.alphabets[i]) for i in indices)
+    cells = math.prod(shape)
+    if cells > _MAX_CELLS:
+        raise UnsupportedError(
+            f"{len(shape)} variables span {cells} cells, beyond the table cap of {_MAX_CELLS}"
+        )
+    return shape
+
+
+def _table(dist: JointDistribution, indices: Sequence[int]) -> np.ndarray:
+    """p over the product alphabet of ``indices``, one axis per entry.
+
+    Axis k runs over the alphabet of ``indices[k]`` in alphabet order.  A
+    repeated variable gets one axis per repeat, with mass on the diagonal.
+    Mass is added in pmf order, so every cell is summed exactly as
+    :func:`_marginal_pmf` sums it.
+    """
+    idx = tuple(indices)
+    out = np.zeros(_dense_shape(dist, idx))
+    pos = [{s: k for k, s in enumerate(dist.alphabets[i])} for i in idx]
+    cells = np.array([[m[key[i]] for m, i in zip(pos, idx)] for key in dist.pmf], dtype=np.intp)
+    np.add.at(out, tuple(cells.T), np.fromiter(dist.pmf.values(), float))
+    return out
+
+
+def _outcomes(dist: JointDistribution, indices: Sequence[int], flat: np.ndarray) -> list[Outcome]:
+    """Symbol tuples at flat positions of the product alphabet of ``indices``."""
+    alph = [dist.alphabets[i] for i in indices]
+    cells = np.unravel_index(flat, [len(a) for a in alph])
+    return list(zip(*([a[k] for k in ax.tolist()] for a, ax in zip(alph, cells))))
+
+
+def _from_table(
+    dist: JointDistribution, indices: Sequence[int], array: np.ndarray
+) -> JointDistribution:
+    """The distribution over distinct ``indices`` with pmf ``array``; inverts :func:`_table`."""
+    flat = np.flatnonzero(array > 0.0)
+    return JointDistribution(
+        tuple(dist.var_names[i] for i in indices),
+        dict(zip(_outcomes(dist, indices, flat), array.ravel()[flat].tolist())),
+        alphabets=tuple(dist.alphabets[i] for i in indices),
+    )
+
+
+def _cell_map(shape: Sequence[int], axes: Sequence[int]) -> np.ndarray:
+    """For every cell of a ``shape`` table in C order, its flat position in
+    the sub-table over the ascending ``axes``."""
+    sub = [n if k in axes else 1 for k, n in enumerate(shape)]
+    return np.broadcast_to(np.arange(math.prod(sub)).reshape(sub), shape).ravel()
+
+
+def _channel_information(w: np.ndarray, m: np.ndarray) -> float:
+    """I(input; output) in bits of channel matrix ``m`` under input weights ``w``."""
+    out = w @ m
+    ok = (m > 0.0) & (out > 0.0)
+    ratio = np.where(ok, m, 1.0) / np.where(ok, out, 1.0)
+    total = float((w[:, None] * np.where(ok, m, 0.0) * np.log2(ratio)).sum())
+    return _clamp_nonneg(total, "channel mutual information")
+
+
 def _entropy_from_pmf(pmf: Mapping[Outcome, float]) -> float:
     return -math.fsum(p * math.log2(p) for p in pmf.values() if p > 0.0)
 
@@ -400,15 +469,7 @@ class Channel:
 
     def mutual_information(self) -> float:
         """I(input; output) in bits implied by the channel and its input marginal."""
-        w = self.input_marginal
-        m = self.matrix
-        out = w @ m
-        total = 0.0
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                if m[i, j] > 0.0 and out[j] > 0.0:
-                    total += w[i] * m[i, j] * math.log2(m[i, j] / out[j])
-        return _clamp_nonneg(total, "channel mutual information")
+        return _channel_information(self.input_marginal, self.matrix)
 
 
 def channel_from(dist: JointDistribution, target: VariableSet, source: VariableSet) -> Channel:
@@ -427,29 +488,15 @@ def channel_from(dist: JointDistribution, target: VariableSet, source: VariableS
     _check_vars(dist, source, "source")
 
     t_idx = target.indices
-    s_idx = source.indices
-    p_t = _marginal_pmf(dist, t_idx)
-    states = _sorted_symbols(p_t.keys())
-    outs = _product_alphabet(dist, s_idx)
-    out_pos = {o: j for j, o in enumerate(outs)}
-
-    m = np.zeros((len(states), len(outs)))
-    state_pos = {s: i for i, s in enumerate(states)}
-    for key, p in dist.pmf.items():
-        i = state_pos[tuple(key[k] for k in t_idx)]
-        j = out_pos[tuple(key[k] for k in s_idx)]
-        m[i, j] += p
-    w = np.array([p_t[s] for s in states])
-    m /= w[:, None]
-    w = w / w.sum()
-    return Channel(states, w, outs, m)
-
-
-def _product_alphabet(dist: JointDistribution, indices: Sequence[int]) -> tuple[Outcome, ...]:
-    """Full product alphabet over the given variables, as sorted tuples."""
-    import itertools
-
-    return tuple(itertools.product(*(dist.alphabets[i] for i in indices)))
+    p_t = _table(dist, t_idx).ravel()
+    live = np.flatnonzero(p_t)
+    row_of = dict(zip(_outcomes(dist, t_idx, live), live.tolist()))
+    states = _sorted_symbols(row_of)
+    rows = [row_of[s] for s in states]
+    w = p_t[rows]
+    m = _table(dist, t_idx + source.indices).reshape(p_t.size, -1)[rows] / w[:, None]
+    outs = _outcomes(dist, source.indices, np.arange(m.shape[1]))
+    return Channel(states, w / w.sum(), outs, m)
 
 
 def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:

@@ -21,12 +21,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .distribution import (
+    _MAX_PARTITIONS,
     JointDistribution,
     VariableSet,
     _check_vars,
     _entropy_of,
 )
-from .errors import ArgumentError
+from .errors import ArgumentError, UnsupportedError
 
 _DET_TOL = 1e-9
 
@@ -204,8 +205,15 @@ def enumerate_ci_partitions(collection: SourceCollection) -> tuple[CiPartition, 
             for tail in grow(left):
                 yield (b,) + tail
 
+    parts = []
+    for part in grow(pooled):
+        parts.append(part)
+        if len(parts) > _MAX_PARTITIONS:
+            raise UnsupportedError(
+                f"the sources admit more than {_MAX_PARTITIONS} CI partitions, beyond the cap"
+            )
     out = []
-    for part in sorted(grow(pooled), key=lambda p: (len(p), p)):
+    for part in sorted(parts, key=lambda p: (len(p), p)):
         blocks = tuple(VariableSet(b) for b in part)
         witness = tuple(
             next(i for i, m in enumerate(member_sets) if set(b) <= m) for b in part

@@ -143,6 +143,18 @@ class TestUnionInformation:
         with pytest.raises(UnsupportedError, match=str(4 * 2**23)):
             ci_union_information(d, VariableSet.of(0), coll)
 
+    def test_too_many_partitions_rejected(self):
+        """Two disjoint groups of 10 binary variables fit in 2^21 cells but
+        admit Bell(10)^2 partitions, past the cap of 2^16."""
+        zero, one = ("0",) * 10, ("1",) * 10
+        rows = [("0",) + zero + zero, ("0",) + one + zero,
+                ("1",) + zero + one, ("1",) + zero + zero]
+        d = JointDistribution(["T"] + [f"Y{i}" for i in range(1, 21)], {r: 0.25 for r in rows})
+        coll = SourceCollection.of(range(1, 11), range(11, 21))
+        assert len(normalize_sources(d, coll)) == 2
+        with pytest.raises(UnsupportedError, match=str(2**16)):
+            ci_union_information(d, VariableSet.of(0), coll)
+
 
 def reference_union(dist, target, collection):
     """The defining formula: min(I_p, max over partitions of I on build_q)."""
