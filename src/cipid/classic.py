@@ -367,6 +367,8 @@ def maxent_ipf(
     Raises :class:`~cipid.errors.IterationLimitError` with the residual
     if ``max_sweeps`` sweeps do not reach tolerance.
     """
+    if max_sweeps < 1:
+        raise ArgumentError("max_sweeps must be at least 1")
     if not preserved_marginals:
         raise ArgumentError("need at least one marginal to preserve")
     covered: set[int] = set()
@@ -444,40 +446,24 @@ def dep_synergy(dist: JointDistribution, target: VariableSet) -> PidResult:
         ],
     )
 
-    names_src = [dist.var_names[y1], dist.var_names[y2]]
-    names_t = [dist.var_names[v] for v in target.indices]
-
-    def joint_info(d):
-        a = [d.index_of(nm) for nm in names_src]
-        tt = [d.index_of(nm) for nm in names_t]
-        return _mi_lenient(d, a, tt)
+    # q and r are over the variables of dist, in dist order, so dist's
+    # indices address them directly.
+    t = target.indices
 
     def cond_info(d, keep, given):
-        a = [d.index_of(keep)]
-        g = [d.index_of(given)]
-        tt = [d.index_of(nm) for nm in names_t]
-        joint_ag = sorted(set(a) | set(g))
-        return _mi_lenient(d, joint_ag, tt) - _mi_lenient(d, g, tt)
+        return _mi_lenient(d, sorted((keep, given)), t) - _mi_lenient(d, [given], t)
 
-    i_p = joint_info(dist)
-    i_q = joint_info(q)
-    i_r = joint_info(r)
+    i_p = _mi_lenient(dist, src, t)
+    i_q = _mi_lenient(q, src, t)
+    i_r = _mi_lenient(r, src, t)
 
     s = _clamp_nonneg(i_p - min(i_q, i_r), "synergy")
 
     u1 = _clamp_nonneg(
-        min(
-            cond_info(q, names_src[0], names_src[1]),
-            cond_info(r, names_src[0], names_src[1]),
-        ),
-        "unique information",
+        min(cond_info(q, y1, y2), cond_info(r, y1, y2)), "unique information"
     )
     u2 = _clamp_nonneg(
-        min(
-            cond_info(q, names_src[1], names_src[0]),
-            cond_info(r, names_src[1], names_src[0]),
-        ),
-        "unique information",
+        min(cond_info(q, y2, y1), cond_info(r, y2, y1)), "unique information"
     )
     return PidResult({"S": s, "U1": u1, "U2": u2, "I_q": i_q, "I_r": i_r})
 

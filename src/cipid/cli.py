@@ -29,7 +29,7 @@ from .classic import (
     wms_synergy,
 )
 from .corpus import CORPUS, canonical, load_distribution
-from .distribution import JointDistribution, VariableSet, _mi_lenient, channel_from
+from .distribution import JointDistribution, VariableSet, _mi_lenient, _source_variables, channel_from
 from .errors import (
     ArgumentError,
     ConsistencyError,
@@ -56,10 +56,7 @@ class _Ctx:
 
 
 def _m_i_total(c: _Ctx) -> float:
-    src = [i for i in range(c.dist.n_vars) if i not in c.target]
-    if not src:
-        raise ArgumentError("no predictor variables outside the target")
-    return _mi_lenient(c.dist, src, c.target.indices)
+    return _mi_lenient(c.dist, _source_variables(c.dist, c.target), c.target.indices)
 
 
 MEASURES: dict[str, Callable[[_Ctx], float]] = {
@@ -111,10 +108,7 @@ def _resolve_sources(
     dist: JointDistribution, spec: str | None, target: VariableSet
 ) -> SourceCollection:
     if spec is None:
-        src = [i for i in range(dist.n_vars) if i not in target]
-        if not src:
-            raise ArgumentError("no predictor variables outside the target")
-        return SourceCollection.singletons(src)
+        return SourceCollection.singletons(_source_variables(dist, target))
     groups = []
     for group in spec.split(";"):
         names = [t.strip() for t in group.split(",") if t.strip()]
@@ -145,17 +139,56 @@ def cmd_measure(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _t_equals_y1() -> JointDistribution:
-    rows = [("0", "0", "0"), ("0", "0", "1"), ("1", "1", "0"), ("1", "1", "1")]
-    return JointDistribution(("T", "Y1", "Y2"), {r: 0.25 for r in rows})
+# The garbling K(Q|T) that the paper prints for BOOM's redundancy.
+_BOOM_PRINTED_GARBLE = [
+    [0.0, 1.0, 0.0],
+    [0.0, 0.75, 0.25],
+    [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
+]
 
 
-def _atoms_from_degradation(dist, target, seed):
-    coll = _resolve_sources(dist, None, target)
-    red = degradation_redundancy(dist, target, coll, seed=seed).value
-    return iep_bivariate_from_redundancy(dist, target, red)
+def _printed_channel(c: _Ctx) -> Channel:
+    k1 = channel_from(c.dist, c.target, c.dist.varset("Y1"))
+    return Channel(k1.input_states, k1.input_marginal, (0, 1, 2), _BOOM_PRINTED_GARBLE)
 
 
+def _iep_atom(key: str) -> Callable[[_Ctx], float]:
+    return lambda c: iep_bivariate_from_redundancy(c.dist, c.target, MEASURES["i_cap_d"](c))[key]
+
+
+# Row evaluations that are not measures: the inclusion-exclusion atoms
+# implied by i_cap_d, and checks on BOOM's printed redundancy channel.
+_TABLE_EVALUATIONS: dict[str, Callable[[_Ctx], object]] = {
+    **{f"atom_{key}": _iep_atom(key) for key in ("R", "U1", "U2", "S")},
+    "printed_q_feasible": lambda c: all(
+        degradation_leq(_printed_channel(c), channel_from(c.dist, c.target, s.members))[0]
+        for s in c.collection
+    ),
+    "printed_q_information": lambda c: _printed_channel(c).mutual_information(),
+}
+
+
+def enrichment_decreases(whole: float, enriched: float) -> bool:
+    return enriched < whole - 1e-9
+
+
+def midpoint_above_average(midpoint: float, average: float) -> bool:
+    return midpoint > average
+
+
+_T_EQUALS_Y1 = JointDistribution(
+    ("T", "Y1", "Y2"), {tuple(row): 0.25 for row in ("000", "001", "110", "111")}
+)
+
+_ONCE = (None,)
+
+
+def _atom_rows(case: str, source, expected: dict[str, float], tol: float) -> list:
+    return [(case, f"atom_{k}", (source, _ONCE, "T", None, f"atom_{k}"), v, tol)
+            for k, v in expected.items()]
+
+
+# case, then the bundled s_wb, s_wms, delta_i, s_d, s_sd and s_ci values
 _RESULTS_ROWS = [
     ("XOR", 1.0, 1.0, 1.0, 1.0, "1", 1.0),
     ("AND", 0.5, 0.189, 0.104, 0.5, "0.311", 0.270),
@@ -177,242 +210,104 @@ _RESULTS_COLUMNS = [
     ("s_ci", 5e-3),
 ]
 
-
-def _results_table_rows(seed: int):
-    rows = []
-    for name, swb, swms, sdi, sd_val, ssd, sci in _RESULTS_ROWS:
-        expected = {
-            "s_wb": swb,
-            "s_wms": swms,
-            "delta_i": sdi,
-            "s_d": sd_val,
-            "s_sd": ssd,
-            "s_ci": sci,
-        }
-        for measure, tol in _RESULTS_COLUMNS:
-            if tol is None:
-                rows.append({
-                    "case": name, "measure": measure, "fn": None,
-                    "expected": expected[measure], "tol": None,
-                })
-                continue
-
-            def fn(nm=name, ms=measure):
-                dist = canonical(nm)
-                target = VariableSet.of(dist.index_of("T"))
-                ctx = _Ctx(dist, target, _resolve_sources(dist, None, target), seed)
-                return MEASURES[ms](ctx)
-
-            rows.append({
-                "case": name, "measure": measure, "fn": fn,
-                "expected": expected[measure], "tol": tol,
-            })
-    return rows
-
-
-_BOOM_PRINTED_GARBLE = [
-    [0.0, 1.0, 0.0],
-    [0.0, 0.75, 0.25],
-    [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-]
-
-
-def _worked_example_rows(seed: int):
-    rows = []
-
-    def atoms_case(case, dist_fn, expectations, tol):
-        for key, exp in expectations:
-            def fn(k=key, df=dist_fn):
-                dist = df()
-                target = VariableSet.of(dist.index_of("T"))
-                return _atoms_from_degradation(dist, target, seed)[k]
-            rows.append({
-                "case": case, "measure": f"atom_{key}", "fn": fn,
-                "expected": exp, "tol": tol,
-            })
-
-    atoms_case("T-equals-Y1", _t_equals_y1,
-               [("R", 0.0), ("U1", 1.0), ("U2", 0.0), ("S", 0.0)], 1e-6)
-    atoms_case("COPY", lambda: canonical("COPY"),
-               [("R", 0.0), ("U1", 1.0), ("U2", 1.0), ("S", 0.0)], 1e-6)
-
-    def boom_red():
-        dist = canonical("BOOM")
-        target = VariableSet.of(dist.index_of("T"))
-        coll = _resolve_sources(dist, None, target)
-        return degradation_redundancy(dist, target, coll, seed=seed).value
-
-    rows.append({"case": "BOOM", "measure": "i_cap_d", "fn": boom_red,
-                 "expected": 0.322, "tol": 2e-2})
-
-    def boom_printed_channel():
-        dist = canonical("BOOM")
-        target = VariableSet.of(dist.index_of("T"))
-        k1 = channel_from(dist, target, dist.varset("Y1"))
-        return Channel(k1.input_states, k1.input_marginal, (0, 1, 2),
-                       _as_matrix(_BOOM_PRINTED_GARBLE))
-
-    def boom_feasible():
-        dist = canonical("BOOM")
-        target = VariableSet.of(dist.index_of("T"))
-        kq = boom_printed_channel()
-        k1 = channel_from(dist, target, dist.varset("Y1"))
-        k2 = channel_from(dist, target, dist.varset("Y2"))
-        return degradation_leq(kq, k1)[0] and degradation_leq(kq, k2)[0]
-
-    rows.append({"case": "BOOM", "measure": "printed_q_feasible",
-                 "fn": boom_feasible, "expected": True, "tol": None})
-
-    def boom_printed_mi():
-        return boom_printed_channel().mutual_information()
-
-    rows.append({"case": "BOOM", "measure": "printed_q_information",
-                 "fn": boom_printed_mi, "expected": 0.322, "tol": 1e-3})
-
-    atoms_case("TWEAKED_COPY", lambda: canonical("TWEAKED_COPY"),
-               [("U1", 0.918), ("U2", 0.918), ("S", -0.251)], 1e-2)
-    return rows
-
-
-def _as_matrix(rows):
-    import numpy as np
-
-    return np.array(rows, dtype=float)
-
-
-def _counterexample_rows(seed: int):
-    rows = []
-
-    def measure_on(name, measure, target_spec, r=None):
-        def fn():
-            dist = canonical(name, r)
-            target = _resolve_target(dist, target_spec, f"corpus:{name}")
-            ctx = _Ctx(dist, target, _resolve_sources(dist, None, target), seed)
-            return MEASURES[measure](ctx)
-        return fn
-
-    def tmc(target_spec):
-        def fn():
-            dist = canonical("TARGET_MONO_CI")
-            target = _resolve_target(dist, target_spec, "corpus:TARGET_MONO_CI")
-            coll = SourceCollection.of(
-                (dist.index_of("Y1"),), (dist.index_of("Y2"),)
-            )
-            return ci_union_information(dist, target, coll)
-        return fn
-
-    rows.append({"case": "TARGET_MONO_CI", "measure": "i_cup_ci(T)",
-                 "fn": tmc("T"), "expected": 0.91, "tol": 5e-3})
-    rows.append({"case": "TARGET_MONO_CI", "measure": "i_cup_ci(T,Z)",
-                 "fn": tmc("T,Z"), "expected": 0.90, "tol": 5e-3})
-    rows.append({"case": "TARGET_MONO_CI", "measure": "enrichment_decreases",
-                 "fn": lambda: tmc("T,Z")() < tmc("T")() - 1e-9,
-                 "expected": True, "tol": None})
-
-    def tma(target_spec):
-        def fn():
-            dist = canonical("TARGET_MONO_AND")
-            target = _resolve_target(dist, target_spec, "corpus:TARGET_MONO_AND")
-            coll = SourceCollection.of(
-                (dist.index_of("Y1"),), (dist.index_of("Y2"),)
-            )
-            return degradation_redundancy(dist, target, coll, seed=seed).value
-        return fn
-
-    rows.append({"case": "TARGET_MONO_AND", "measure": "i_cap_d(T)",
-                 "fn": tma("T"), "expected": 0.311, "tol": 2e-2})
-    rows.append({"case": "TARGET_MONO_AND", "measure": "i_cap_d(T,Z)",
-                 "fn": tma("T,Z"), "expected": 0.0, "tol": 2e-2})
-
-    def cxt(target_spec):
-        def fn():
-            dist = canonical("COPY_XOR_TARGETS")
-            target = _resolve_target(dist, target_spec, "corpus:COPY_XOR_TARGETS")
-            coll = SourceCollection.of(
-                (dist.index_of("Y1"),), (dist.index_of("Y2"),)
-            )
-            return ci_synergy(dist, target, coll)
-        return fn
-
-    rows.append({"case": "COPY_XOR_TARGETS", "measure": "s_ci(T1)",
-                 "fn": cxt("T1"), "expected": 0.0, "tol": 1e-6})
-    rows.append({"case": "COPY_XOR_TARGETS", "measure": "s_ci(T2)",
-                 "fn": cxt("T2"), "expected": 1.0, "tol": 1e-6})
-
-    ax_mid = measure_on("ADAPTED_XOR", "s_ci", "T", r=0.25)
-    ax_avg = lambda: 0.5 * (
-        measure_on("ADAPTED_XOR", "s_ci", "T", r=0.0)()
-        + measure_on("ADAPTED_XOR", "s_ci", "T", r=0.5)()
-    )
-    rows.append({"case": "ADAPTED_XOR", "measure": "s_ci(r=0.25)",
-                 "fn": ax_mid, "expected": 0.552, "tol": 5e-3})
-    rows.append({"case": "ADAPTED_XOR", "measure": "s_ci endpoint average",
-                 "fn": ax_avg, "expected": 0.440, "tol": 5e-3})
-    rows.append({"case": "ADAPTED_XOR", "measure": "midpoint_above_average",
-                 "fn": lambda: ax_mid() > ax_avg(), "expected": True, "tol": None})
-
-    v2_mid = measure_on("ADAPTED_XOR_V2", "s_d", "T", r=0.25)
-    v2_avg = lambda: 0.5 * (
-        measure_on("ADAPTED_XOR_V2", "s_d", "T", r=0.0)()
-        + measure_on("ADAPTED_XOR_V2", "s_d", "T", r=0.5)()
-    )
-    rows.append({"case": "ADAPTED_XOR_V2", "measure": "s_d(r=0.25)",
-                 "fn": v2_mid, "expected": 0.338, "tol": 2e-2})
-    rows.append({"case": "ADAPTED_XOR_V2", "measure": "s_d endpoint average",
-                 "fn": v2_avg, "expected": 0.3095, "tol": 2e-2})
-    rows.append({"case": "ADAPTED_XOR_V2", "measure": "midpoint_above_average",
-                 "fn": lambda: v2_mid() > v2_avg(), "expected": True, "tol": None})
-    return rows
-
-
+# Each table is a list of (case, label, how, expected, tol) rows.  ``how``
+# is None for a cell that is not computed, a tuple (distribution, r values,
+# target, sources, evaluation) evaluated as ``cipid measure`` would and
+# averaged over the r values, or a function of the values of the case's
+# earlier rows, in order.  A distribution is a corpus name or a pmf.
 _TABLES = {
-    "results-table": _results_table_rows,
-    "worked-examples": _worked_example_rows,
-    "counterexamples": _counterexample_rows,
+    "results-table": [
+        (case, measure, None if tol is None else (case, _ONCE, "T", None, measure), expected, tol)
+        for case, *values in _RESULTS_ROWS
+        for (measure, tol), expected in zip(_RESULTS_COLUMNS, values)
+    ],
+    "worked-examples": [
+        *_atom_rows("T-equals-Y1", _T_EQUALS_Y1, {"R": 0.0, "U1": 1.0, "U2": 0.0, "S": 0.0}, 1e-6),
+        *_atom_rows("COPY", "COPY", {"R": 0.0, "U1": 1.0, "U2": 1.0, "S": 0.0}, 1e-6),
+        ("BOOM", "i_cap_d", ("BOOM", _ONCE, "T", None, "i_cap_d"), 0.322, 2e-2),
+        ("BOOM", "printed_q_feasible", ("BOOM", _ONCE, "T", None, "printed_q_feasible"),
+         True, None),
+        ("BOOM", "printed_q_information", ("BOOM", _ONCE, "T", None, "printed_q_information"),
+         0.322, 1e-3),
+        *_atom_rows("TWEAKED_COPY", "TWEAKED_COPY", {"U1": 0.918, "U2": 0.918, "S": -0.251}, 1e-2),
+    ],
+    "counterexamples": [
+        ("TARGET_MONO_CI", "i_cup_ci(T)", ("TARGET_MONO_CI", _ONCE, "T", "Y1;Y2", "i_cup_ci"),
+         0.91, 5e-3),
+        ("TARGET_MONO_CI", "i_cup_ci(T,Z)", ("TARGET_MONO_CI", _ONCE, "T,Z", "Y1;Y2", "i_cup_ci"),
+         0.90, 5e-3),
+        ("TARGET_MONO_CI", "enrichment_decreases", enrichment_decreases, True, None),
+        ("TARGET_MONO_AND", "i_cap_d(T)", ("TARGET_MONO_AND", _ONCE, "T", "Y1;Y2", "i_cap_d"),
+         0.311, 2e-2),
+        ("TARGET_MONO_AND", "i_cap_d(T,Z)", ("TARGET_MONO_AND", _ONCE, "T,Z", "Y1;Y2", "i_cap_d"),
+         0.0, 2e-2),
+        ("COPY_XOR_TARGETS", "s_ci(T1)", ("COPY_XOR_TARGETS", _ONCE, "T1", "Y1;Y2", "s_ci"),
+         0.0, 1e-6),
+        ("COPY_XOR_TARGETS", "s_ci(T2)", ("COPY_XOR_TARGETS", _ONCE, "T2", "Y1;Y2", "s_ci"),
+         1.0, 1e-6),
+        ("ADAPTED_XOR", "s_ci(r=0.25)", ("ADAPTED_XOR", (0.25,), "T", None, "s_ci"), 0.552, 5e-3),
+        ("ADAPTED_XOR", "s_ci endpoint average", ("ADAPTED_XOR", (0.0, 0.5), "T", None, "s_ci"),
+         0.440, 5e-3),
+        ("ADAPTED_XOR", "midpoint_above_average", midpoint_above_average, True, None),
+        ("ADAPTED_XOR_V2", "s_d(r=0.25)", ("ADAPTED_XOR_V2", (0.25,), "T", None, "s_d"),
+         0.338, 2e-2),
+        ("ADAPTED_XOR_V2", "s_d endpoint average", ("ADAPTED_XOR_V2", (0.0, 0.5), "T", None, "s_d"),
+         0.3095, 2e-2),
+        ("ADAPTED_XOR_V2", "midpoint_above_average", midpoint_above_average, True, None),
+    ],
 }
 
 
-def cmd_reproduce(args) -> int:
-    builder = _TABLES.get(args.table)
-    if builder is None:
-        raise ArgumentError(
-            f"unknown table {args.table!r}; available: {', '.join(_TABLES)}"
-        )
-    rows = builder(args.seed)
-
-    any_fail = False
-    header = f"{'case':<18} {'measure':<26} {'computed':>12} {'expected':>12}  status"
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        case, measure = row["case"], row["measure"]
-        expected, tol, fn = row["expected"], row["tol"], row["fn"]
-        if fn is None:
-            print(f"{case:<18} {measure:<26} {'-':>12} {str(expected):>12}  skipped")
-            continue
-        try:
-            value = fn()
-        except _SOLVER_ERRORS as exc:
-            any_fail = True
-            print(f"{case:<18} {measure:<26} {'error':>12} {_fmt(expected):>12}  FAIL ({exc})")
-            continue
-        if isinstance(expected, bool):
-            ok = bool(value) is expected
-            shown = "yes" if value else "no"
-            wanted = "yes" if expected else "no"
-        else:
-            ok = abs(value - expected) <= tol
-            shown = f"{value:.6f}"
-            wanted = f"{expected:.6f}"
-        any_fail = any_fail or not ok
-        print(f"{case:<18} {measure:<26} {shown:>12} {wanted:>12}  {'ok' if ok else 'FAIL'}")
-    return 1 if any_fail else 0
+def _row_value(how, seed: int, earlier: list):
+    """The computed value of one reproduce row; ``earlier`` holds the case's earlier values."""
+    if callable(how):
+        for value in earlier:
+            if isinstance(value, Exception):
+                raise value
+        return how(*earlier)
+    source, rs, target_spec, sources_spec, evaluation = how
+    fn = MEASURES.get(evaluation) or _TABLE_EVALUATIONS[evaluation]
+    values = []
+    for r in rs:
+        dist = canonical(source, r) if isinstance(source, str) else source
+        target = _resolve_target(dist, target_spec, "")
+        values.append(fn(_Ctx(dist, target, _resolve_sources(dist, sources_spec, target), seed)))
+    return values[0] if len(values) == 1 else sum(values) / len(values)
 
 
 def _fmt(expected) -> str:
     if isinstance(expected, bool):
         return "yes" if expected else "no"
     return f"{expected:.6f}"
+
+
+def cmd_reproduce(args) -> int:
+    any_fail = False
+    header = f"{'case':<18} {'measure':<26} {'computed':>12} {'expected':>12}  status"
+    print(header)
+    print("-" * len(header))
+    earlier: dict[str, list] = {}
+    for case, label, how, expected, tol in _TABLES[args.table]:
+        if how is None:
+            print(f"{case:<18} {label:<26} {'-':>12} {str(expected):>12}  skipped")
+            continue
+        seen = earlier.setdefault(case, [])
+        try:
+            value = _row_value(how, args.seed, seen)
+        except _SOLVER_ERRORS as exc:
+            value = exc
+        seen.append(value)
+        if isinstance(value, Exception):
+            ok, shown, status = False, "error", f"FAIL ({value})"
+        else:
+            if isinstance(expected, bool):
+                ok, shown = bool(value) is expected, _fmt(bool(value))
+            else:
+                ok, shown = abs(value - expected) <= tol, _fmt(value)
+            status = "ok" if ok else "FAIL"
+        any_fail = any_fail or not ok
+        print(f"{case:<18} {label:<26} {shown:>12} {_fmt(expected):>12}  {status}")
+    return 1 if any_fail else 0
 
 
 # ---------------------------------------------------------------------------

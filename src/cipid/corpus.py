@@ -346,12 +346,15 @@ def canonical(name: str, r: float | None = None) -> JointDistribution:
 def _parse_probability(token: str, line_no: int) -> float:
     try:
         return float(Fraction(token))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         pass
     try:
-        return float(token)
+        p = float(token)
     except ValueError:
         raise ParseError(f"cannot read probability {token!r}", line_no) from None
+    if not math.isfinite(p):
+        raise ParseError(f"probability {token!r} is not finite", line_no)
+    return p
 
 
 def load_distribution(path) -> JointDistribution:
@@ -401,7 +404,7 @@ def load_distribution(path) -> JointDistribution:
     if not pmf:
         raise ParseError("no probability rows found")
     total = math.fsum(pmf.values())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ParseError(f"probabilities sum to {total!r}, not 1 within 1e-9")
     return JointDistribution(header, pmf)
 

@@ -139,7 +139,7 @@ class JointDistribution:
             cleaned[key] = p
 
         total = math.fsum(cleaned.values())
-        if abs(total - 1.0) > TOL:
+        if not abs(total - 1.0) <= TOL:
             raise ConsistencyError(f"probabilities sum to {total!r}, not 1 within 1e-9")
 
         if alphabets is None:
@@ -440,13 +440,13 @@ class Channel:
             raise ArgumentError("need one marginal probability per input state")
         if np.any(w <= 0.0):
             raise ArgumentError("input marginal must be strictly positive")
-        if abs(float(w.sum()) - 1.0) > TOL:
+        if not abs(float(w.sum()) - 1.0) <= TOL:
             raise ConsistencyError(f"input marginal sums to {float(w.sum())!r}")
         if float(np.min(m)) < -TOL:
             raise ConsistencyError("channel matrix has an entry beyond -1e-9")
         m = np.where(m < 0.0, 0.0, m)
         rows = m.sum(axis=1)
-        bad = np.where(np.abs(rows - 1.0) > TOL)[0]
+        bad = np.flatnonzero(~(np.abs(rows - 1.0) <= TOL))
         if bad.size:
             raise ConsistencyError(
                 f"channel row {int(bad[0])} sums to {float(rows[bad[0]])!r}, not 1 within 1e-9"
@@ -515,7 +515,7 @@ def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
         if any(x < -TOL for x in v):
             raise ArgumentError(f"{name} has a negative entry")
         s = math.fsum(v)
-        if abs(s - 1.0) > TOL:
+        if not abs(s - 1.0) <= TOL:
             raise ArgumentError(f"{name} sums to {s!r}, not 1 within 1e-9")
     total = 0.0
     for i, (a, b) in enumerate(zip(pv, qv)):

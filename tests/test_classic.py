@@ -254,6 +254,11 @@ class TestMaxentIpf:
         with pytest.raises(ArgumentError):
             maxent_ipf(d, [d.varset("T", "Y1")])
 
+    def test_needs_a_sweep(self):
+        d = canonical("AND")
+        with pytest.raises(ArgumentError, match="max_sweeps"):
+            maxent_ipf(d, [d.varset("T", "Y1", "Y2")], max_sweeps=0)
+
 
 class TestDepSynergy:
     def test_matches_ci_on_simple_cases(self):

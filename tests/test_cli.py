@@ -2,7 +2,8 @@
 
 import pytest
 
-from cipid import canonical, save_distribution
+from cipid import SolverError, canonical, save_distribution
+from cipid import cli
 from cipid.cli import main
 
 
@@ -87,6 +88,14 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    def test_nan_mass_in_a_file(self, capsys, tmp_path):
+        path = tmp_path / "nan.dist"
+        path.write_text("T Y1 Y2 p\n0 0 0 1\n0 1 1 nan\n")
+        code, out, err = run(capsys, "measure", "--dist", str(path), "--measure", "s_ci")
+        assert code == 2
+        assert out == ""
+        assert "line 3" in err
+
     def test_unknown_target_variable(self, capsys):
         code, _, err = run(
             capsys, "measure", "--dist", "corpus:XOR", "--target", "Q",
@@ -116,7 +125,86 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+_RESULTS_CASES = (
+    "XOR", "AND", "COPY", "RDNXOR", "RDNUNQXOR",
+    "XORDUPLICATE", "ANDDUPLICATE", "XORLOSES", "XORMULTICOAL",
+)
+_S_WB_GAPS = ("XORDUPLICATE", "ANDDUPLICATE", "XORMULTICOAL")
+
+_ROWS = {
+    "results-table": [
+        (case, measure,
+         "skipped" if measure == "s_sd"
+         else "FAIL" if measure == "s_wb" and case in _S_WB_GAPS else "ok")
+        for case in _RESULTS_CASES
+        for measure in ("s_wb", "s_wms", "delta_i", "s_d", "s_sd", "s_ci")
+    ],
+    "worked-examples": [
+        ("T-equals-Y1", "atom_R", "ok"),
+        ("T-equals-Y1", "atom_U1", "ok"),
+        ("T-equals-Y1", "atom_U2", "ok"),
+        ("T-equals-Y1", "atom_S", "ok"),
+        ("COPY", "atom_R", "ok"),
+        ("COPY", "atom_U1", "ok"),
+        ("COPY", "atom_U2", "ok"),
+        ("COPY", "atom_S", "ok"),
+        ("BOOM", "i_cap_d", "ok"),
+        ("BOOM", "printed_q_feasible", "ok"),
+        ("BOOM", "printed_q_information", "ok"),
+        ("TWEAKED_COPY", "atom_U1", "ok"),
+        ("TWEAKED_COPY", "atom_U2", "ok"),
+        ("TWEAKED_COPY", "atom_S", "ok"),
+    ],
+    "counterexamples": [
+        ("TARGET_MONO_CI", "i_cup_ci(T)", "ok"),
+        ("TARGET_MONO_CI", "i_cup_ci(T,Z)", "ok"),
+        ("TARGET_MONO_CI", "enrichment_decreases", "ok"),
+        ("TARGET_MONO_AND", "i_cap_d(T)", "ok"),
+        ("TARGET_MONO_AND", "i_cap_d(T,Z)", "ok"),
+        ("COPY_XOR_TARGETS", "s_ci(T1)", "ok"),
+        ("COPY_XOR_TARGETS", "s_ci(T2)", "ok"),
+        ("ADAPTED_XOR", "s_ci(r=0.25)", "FAIL"),
+        ("ADAPTED_XOR", "s_ci endpoint average", "ok"),
+        ("ADAPTED_XOR", "midpoint_above_average", "ok"),
+        ("ADAPTED_XOR_V2", "s_d(r=0.25)", "FAIL"),
+        ("ADAPTED_XOR_V2", "s_d endpoint average", "FAIL"),
+        ("ADAPTED_XOR_V2", "midpoint_above_average", "FAIL"),
+    ],
+}
+
+
+def reproduce_cells(out):
+    """(case, measure, status) of each row of a reproduce table, by column position."""
+    return [
+        (ln[:18].strip(), ln[19:45].strip(), ln[73:].split(" ")[0])
+        for ln in out.splitlines()[2:]
+    ]
+
+
 class TestReproduce:
+    @pytest.mark.parametrize("table", sorted(_ROWS))
+    def test_every_row_in_order(self, capsys, table):
+        code, out, _ = run(capsys, "reproduce", table)
+        rows = _ROWS[table]
+        assert code == (1 if any(status == "FAIL" for *_, status in rows) else 0)
+        assert reproduce_cells(out) == rows
+
+    def test_solver_error_fails_the_rows_that_need_it(self, capsys, monkeypatch):
+        def broken(ctx):
+            raise SolverError("stub solver failure")
+
+        monkeypatch.setitem(cli.MEASURES, "s_d", broken)
+        code, out, _ = run(capsys, "reproduce", "counterexamples")
+        assert code == 1
+        errored = [ln.split()[0] for ln in out.splitlines() if "FAIL (stub solver failure)" in ln]
+        assert errored == ["ADAPTED_XOR_V2"] * 3
+        assert reproduce_cells(out)[-3:] == [
+            ("ADAPTED_XOR_V2", "s_d(r=0.25)", "FAIL"),
+            ("ADAPTED_XOR_V2", "s_d endpoint average", "FAIL"),
+            ("ADAPTED_XOR_V2", "midpoint_above_average", "FAIL"),
+        ]
+        assert all(" error " in ln for ln in out.splitlines()[-3:])
+
     def test_worked_examples_all_ok(self, capsys):
         code, out, _ = run(capsys, "reproduce", "worked-examples")
         assert code == 0

@@ -151,9 +151,10 @@ T Y p
             load_distribution(path)
 
     def test_bad_probability_carries_line_number(self, tmp_path):
-        path = self.write(tmp_path, "T Y p\n0 a zero\n")
-        with pytest.raises(ParseError, match="line 2"):
-            load_distribution(path)
+        for token in ("zero", "nan", "inf", "1e400"):
+            path = self.write(tmp_path, f"T Y p\n0 a {token}\n1 a 1\n")
+            with pytest.raises(ParseError, match="line 2"):
+                load_distribution(path)
 
     def test_negative_probability_rejected(self, tmp_path):
         path = self.write(tmp_path, "T Y p\n0 a -0.5\n1 a 1.5\n")

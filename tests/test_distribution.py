@@ -57,6 +57,8 @@ class TestJointDistribution:
             JointDistribution(("A",), {("0",): 0.4, ("1",): 0.4})
         with pytest.raises(ConsistencyError):
             JointDistribution(("A",), {("0",): 1.2, ("1",): -0.2})
+        with pytest.raises(ConsistencyError):
+            JointDistribution(("A",), {("0",): 1.0, ("1",): math.nan})
 
     def test_tiny_negative_is_clipped(self):
         d = JointDistribution(("A",), {("0",): 1.0, ("1",): -1e-12})
@@ -201,6 +203,11 @@ class TestKlDivergence:
         with pytest.raises(ArgumentError):
             kl_divergence([1.0], [0.5, 0.5])
 
+    def test_rejects_nan_mass(self):
+        for p, q in (([1.0, math.nan], [0.5, 0.5]), ([0.5, 0.5], [math.nan, 1.0])):
+            with pytest.raises(ArgumentError):
+                kl_divergence(p, q)
+
 
 class TestChannel:
     def test_channel_from_rows(self):
@@ -226,6 +233,12 @@ class TestChannel:
     def test_rejects_bad_rows(self):
         with pytest.raises(ConsistencyError):
             Channel(("a", "b"), (0.5, 0.5), (0, 1), np.array([[0.7, 0.7], [0.5, 0.5]]))
+
+    def test_rejects_nan_mass(self):
+        with pytest.raises(ConsistencyError, match="input marginal"):
+            Channel(("a", "b"), (1.0, math.nan), (0, 1), np.array([[1.0, 0.0], [0.5, 0.5]]))
+        with pytest.raises(ConsistencyError, match="row 1"):
+            Channel(("a", "b"), (0.5, 0.5), (0, 1), np.array([[1.0, 0.0], [math.nan, 1.0]]))
 
     def test_rejects_zero_marginal(self):
         with pytest.raises(ArgumentError):
