@@ -6,9 +6,9 @@ be garbled into, hopping between linear-program vertices along the
 gradient, so the reported value is a lower bound on the true supremum
 and random restarts guard against poor local vertices.
 ``vk_union_information`` minimizes joint dependence over couplings with
-fixed per-source conditionals; that problem is convex, so projected
-gradient descent with an alternating projection onto the constraint set
-converges to the global minimum.
+fixed per-source conditionals; that problem is convex, so a log-barrier
+Newton method reaches the global minimum, and a Frank-Wolfe gap
+certifies how far the reported value can be above it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ from .distribution import (
     _source_variables,
     _table,
     channel_from,
+    marginalize,
 )
+from .classic import maxent_ipf
 from .errors import ArgumentError, ConsistencyError, SolverError
 from .simplex import solve_lp
 from .sources import SourceCollection, normalize_sources
@@ -68,8 +70,12 @@ class OptimizationReport:
     channel for the redundancy search, a joint distribution for the
     union minimization).  ``certificate`` is the analytic bound the
     value was checked against: an upper bound for maximizations, a
-    lower bound for minimizations.  ``converged`` reports whether the
-    solver stopped by its own criterion rather than an iteration cap.
+    lower bound for minimizations.  ``lower`` is a proven lower bound
+    on the optimum of a minimization (the value minus its Frank-Wolfe
+    gap), or None where the solver gives none.  ``converged`` reports
+    whether the solver stopped by its own criterion rather than an
+    iteration cap; for the union minimization it means the gap is
+    within the solver's tolerance.
     """
 
     value: float
@@ -77,6 +83,7 @@ class OptimizationReport:
     restarts_used: int
     certificate: float
     converged: bool
+    lower: float | None = None
 
     def __post_init__(self):
         if self.converged and not math.isfinite(self.value):
@@ -250,6 +257,116 @@ def degradation_redundancy(
 # ---------------------------------------------------------------------------
 
 
+def _max_entropy_start(
+    dist: JointDistribution,
+    t_idx: tuple[int, ...],
+    pooled: tuple[int, ...],
+    collection: SourceCollection,
+) -> np.ndarray:
+    """The maximum-entropy joint keeping every (T, source) marginal of ``dist``.
+
+    One row per target state, one column per pooled cell.  It is zero
+    exactly off the maximal support of the couplings.
+    """
+    sub = VariableSet(t_idx + pooled)
+    pos = {v: k for k, v in enumerate(sub.indices)}
+    fit = maxent_ipf(
+        marginalize(dist, sub),
+        [VariableSet(tuple(pos[v] for v in t_idx + s.members.indices)) for s in collection],
+        tol=1e-12,
+    )
+    table = _table(fit, range(len(sub))).transpose([pos[v] for v in t_idx + pooled])
+    return table.reshape(math.prod(table.shape[: len(t_idx)]), -1)
+
+
+def _barrier_newton(
+    w: np.ndarray,
+    a_mat: np.ndarray,
+    support: np.ndarray,
+    x0: np.ndarray,
+    gap0: float,
+    tol: float,
+    max_iters: int,
+    fw_gap,
+) -> tuple[np.ndarray, float]:
+    """Minimize I(A;T) over the couplings by a log-barrier Newton method.
+
+    Damped Newton minimizes tau*f - sum log x over the cells of
+    ``support``, from the feasible ``x0``; tau starts at m/gap0 and grows
+    twentyfold until m/tau < tol, where m is the number of support cells
+    (Boyd & Vandenberghe, section 11.3), and at most twice more while the
+    Frank-Wolfe gap is above ``tol``.  Each step moves row t by
+    N_t dz_t, with N_t a basis of the null space of ``a_mat`` on the
+    support of row t, so every iterate keeps the constraints up to
+    rounding.  The basis is taken as diag(x_t) times an orthonormal null
+    basis of ``a_mat`` diag(x_t), which makes the barrier part of the
+    reduced Hessian the identity: the Newton system stays well scaled as
+    cells approach zero.  ``max_iters`` caps the Newton steps.  Returns
+    the couplings and their Frank-Wolfe gap.
+    """
+    t_of, cell_of = np.nonzero(support)
+    m = t_of.size
+    edges = np.concatenate([[0], np.cumsum(support.sum(axis=1))])
+    ranks = [np.linalg.matrix_rank(a_mat[:, row]) for row in support]
+    dim = m - sum(ranks)
+    # mix maps support cells to the column masses r_a = sum_t w_t x_ta
+    used, col = np.unique(cell_of, return_inverse=True)
+    wk = w[t_of]
+    mix = np.zeros((used.size, m))
+    mix[col, np.arange(m)] = wk
+    ln2 = math.log(2.0)
+
+    def phi(x: np.ndarray, tau: float) -> float:
+        return tau * float(wk @ (x * np.log2(x / (mix @ x)[col]))) - float(np.log(x).sum())
+
+    x = x0[support]
+    out = np.zeros(support.shape)
+    tau = m / gap0
+    steps = 0
+    while steps < max_iters and dim:
+        last = math.inf
+        for _ in range(max_iters - steps):
+            basis = np.zeros((m, dim))
+            c0 = 0
+            for t, row in enumerate(support):
+                lo, hi = edges[t], edges[t + 1]
+                k = hi - lo - ranks[t]
+                if k:
+                    vt = np.linalg.svd(a_mat[:, row] * x[lo:hi])[2]
+                    basis[lo:hi, c0 : c0 + k] = vt[ranks[t] :].T
+                    c0 += k
+            r = mix @ x
+            c = tau / ln2
+            mixed = (mix * x) @ basis
+            grad = basis.T @ (tau * wk * x * np.log2(x / r[col]) - 1.0)
+            hess = basis.T @ ((c * wk * x + 1.0)[:, None] * basis) - c * mixed.T @ (mixed / r[:, None])
+            dv = -np.linalg.solve(hess, grad)
+            lam2 = -float(grad @ dv)
+            # centred, or at the rounding floor: the decrement stopped
+            # falling quadratically
+            if not lam2 > 1e-10 or (lam2 < 1e-6 and lam2 > last / 4.0):
+                break
+            last = lam2
+            du = basis @ dv
+            shrink = du < 0.0
+            alpha = min(1.0, 0.99 / float(np.max(-du[shrink]))) if shrink.any() else 1.0
+            if lam2 > 0.1:
+                # far from the centre: backtrack until phi falls enough
+                here = phi(x, tau)
+                while alpha > 1e-12 and phi(x * (1.0 + alpha * du), tau) > here - 0.25 * alpha * lam2:
+                    alpha *= 0.5
+            x = x * (1.0 + alpha * du)
+            steps += 1
+        if m / tau < tol:
+            out[support] = x
+            gap = fw_gap(out)
+            if gap <= tol or m / tau < tol / 400.0:
+                return out, gap
+        tau *= 20.0
+    out[support] = x
+    return out, fw_gap(out)
+
+
 def vk_union_information(
     dist: JointDistribution,
     target: VariableSet,
@@ -261,18 +378,28 @@ def vk_union_information(
 
     Minimizes I(A;T) over conditionals p*(a|t) on the pooled source
     alphabet whose per-source marginals match the true conditionals
-    p(a_i|t) for every target state.  The problem is convex; projected
-    gradient descent is run from the true conditional and from the
-    conditional-independence product, with the projection onto the
-    constraint set computed by alternating between the affine part and
-    the non-negativity part.  Callers should pass a collection that is
-    already normalized; redundant sources only slow the solve down.
+    p(a_i|t) for every target state: the Griffith-Koch union program,
+    for two sources the BROJA program.  The problem is convex.  It
+    returns at once from the true conditional or from the start point
+    when their Frank-Wolfe gap is within ``tol``; otherwise a log-barrier
+    Newton method runs from the start point, in the null space of the
+    constraints, for at most ``max_iters`` Newton steps.  The start is
+    the product of the per-source conditionals for disjoint sources and
+    the maximum-entropy fit of the (T, source) marginals for overlapping
+    ones.  Callers should pass a collection that is already normalized;
+    redundant sources only slow the solve down.
 
-    The report's certificate is the lower bound max over sources of
-    I(A_i;T); its argument is the optimizing joint distribution over
-    the pooled sources and the target.
+    The gap is <grad f(x), x> - min over couplings s of <grad f(x), s>,
+    one linear program per target state; by convexity the minimum is at
+    least the value minus the gap, which the report gives as ``lower``,
+    and ``converged`` means the gap is within ``tol``.  The report's
+    certificate is the lower bound max over sources of I(A_i;T); its
+    argument is the optimizing joint distribution over the pooled
+    sources and the target.
     """
     _check_target(dist, target)
+    if not tol > 0.0:
+        raise ArgumentError(f"tol must be positive, got {tol!r}")
     for s in collection:
         _check_vars(dist, s.members, "source")
         if not s.members.isdisjoint(target):
@@ -289,7 +416,7 @@ def vk_union_information(
         """p(idx | t), one row per target state of positive mass."""
         return _table(dist, t_idx + idx).reshape(p_t.size, -1)[live] / w[:, None]
 
-    # start 1 is the true conditional p(a|t), start 2 the renormalized
+    # x_true is the true conditional p(a|t), x_prod the renormalized
     # product of the per-source conditionals; each source value gives one
     # constraint row, whose right-hand side varies with t
     x_true = given_t(pooled)
@@ -305,68 +432,54 @@ def vk_union_information(
     x_prod /= np.maximum(x_prod.sum(axis=1, keepdims=True), eps)
     a_mat = np.vstack(rows).astype(float)
     b_mat = np.hstack(rhs)
-    a_pinv = np.linalg.pinv(a_mat)
 
-    def proj_affine(x: np.ndarray) -> np.ndarray:
-        return x - (a_mat @ x.T - b_mat.T).T @ a_pinv.T
-
-    def project(x0: np.ndarray, iters: int = 20000) -> np.ndarray:
-        x = x0.copy()
-        p = np.zeros_like(x)
-        q = np.zeros_like(x)
-        for _ in range(iters):
-            y = proj_affine(x + p)
-            p = x + p - y
-            x_new = np.maximum(y + q, 0.0)
-            q = y + q - x_new
-            if float(np.max(np.abs(x_new - x))) < 1e-14:
-                return x_new
-            x = x_new
-        if float(np.max(np.abs(a_mat @ x.T - b_mat.T))) > 1e-8:
-            raise SolverError("projection onto the coupling constraints did not converge")
-        return x
+    # a relative-interior start: the product is one for disjoint sources,
+    # the maximum-entropy fit of the (T, source) marginals otherwise; the
+    # cells where it is positive are the maximal support of the couplings
+    if sum(len(s.members) for s in collection) == len(pooled):
+        x0 = x_prod
+    else:
+        x0 = _max_entropy_start(dist, t_idx, pooled, collection)[live] / w[:, None]
+    support = x0 > 0.0
 
     def f(x: np.ndarray) -> float:
-        xb = w @ x
-        z = x * np.log2(np.maximum(x, eps) / np.maximum(xb, eps)[None, :])
-        z[x <= 0.0] = 0.0
-        return float(w @ z.sum(axis=1))
+        """I(A;T) in bits of the couplings ``x``, one row per target state."""
+        r = w @ x
+        pos = x > 0.0
+        ratio = np.where(pos, x, 1.0) / np.where(pos, r, 1.0)
+        return float(w @ np.where(pos, x * np.log2(ratio), 0.0).sum(axis=1))
 
-    def grad(x: np.ndarray) -> np.ndarray:
-        xb = w @ x
-        return w[:, None] * np.log2(np.maximum(x, eps) / np.maximum(xb, eps)[None, :])
+    def fw_gap(x: np.ndarray) -> float:
+        """Frank-Wolfe gap f(x) - min over couplings s of <grad f(x), s>.
 
-    best_f = math.inf
-    best_x = None
-    any_converged = False
-    for x0 in (x_true, x_prod):
-        x = project(x0)
-        fx = f(x)
-        eta = 0.5
-        converged = False
-        for _ in range(max_iters):
-            g = grad(x)
-            improved = False
-            rel = math.inf
-            while eta > 1e-13:
-                xn = project(x - eta * g)
-                fn = f(xn)
-                if fn < fx - 1e-13:
-                    rel = (fx - fn) / max(abs(fx), 1e-12)
-                    x, fx = xn, fn
-                    improved = True
-                    eta = min(eta * 2.0, 4.0)
-                    break
-                eta *= 0.5
-            if not improved:
-                converged = True
-                break
-            if rel < tol:
-                converged = True
-                break
-        if fx < best_f:
-            best_f, best_x = fx, x
-        any_converged = any_converged or converged
+        f is convex, so it bounds f(x) minus the minimum.  A cell that is
+        zero in every row gets the subgradient 0; a zero cell of the
+        support under a positive column mass has slope -inf, so the gap
+        is infinite there.
+        """
+        r = w @ x
+        on = x > 0.0
+        if np.any(support & ~on & (r > 0.0)[None, :]):
+            return math.inf
+        g = w[:, None] * np.log2(np.where(on, x, 1.0) / np.where(on, r, 1.0))
+        low = 0.0
+        for t in range(w.size):
+            cells = support[t]
+            sol = solve_lp(g[t, cells], a_mat[:, cells], b_mat[t])
+            if sol.status != "optimal":
+                raise SolverError(f"certificate LP came back {sol.status}")
+            low += sol.objective
+        # the simplex stops at reduced costs of -1e-10, and rounding can put
+        # its optimum a hair above f(x); a gap is never negative
+        return max(f(x) - low, 0.0)
+
+    best_x, gap = x0, fw_gap(x0)
+    if gap > tol:
+        gap_true = fw_gap(x_true)
+        if gap_true <= tol:
+            best_x, gap = x_true, gap_true
+        else:
+            best_x, gap = _barrier_newton(w, a_mat, support, x0, gap, tol, max_iters, fw_gap)
 
     residual = float(np.max(np.abs(a_mat @ best_x.T - b_mat.T)))
     if residual > 1e-7:
@@ -384,12 +497,14 @@ def vk_union_information(
     certificate = max(
         _mi_lenient(dist, s.members.indices, t_idx) for s in collection
     )
+    value = f(best_x)
     return OptimizationReport(
-        value=best_f,
+        value=value,
         argument=argument,
-        restarts_used=2,
+        restarts_used=1,
         certificate=certificate,
-        converged=any_converged,
+        converged=gap <= tol,
+        lower=value - gap,
     )
 
 

@@ -53,6 +53,14 @@ class _Ctx:
         self.target = target
         self.collection = collection
         self.seed = seed
+        self._values: dict[str, object] = {}
+
+    def value(self, name: str) -> object:
+        """The named measure or table evaluation, computed once per context."""
+        if name not in self._values:
+            fn = MEASURES.get(name) or _TABLE_EVALUATIONS[name]
+            self._values[name] = fn(self)
+        return self._values[name]
 
 
 def _m_i_total(c: _Ctx) -> float:
@@ -153,7 +161,7 @@ def _printed_channel(c: _Ctx) -> Channel:
 
 
 def _iep_atom(key: str) -> Callable[[_Ctx], float]:
-    return lambda c: iep_bivariate_from_redundancy(c.dist, c.target, MEASURES["i_cap_d"](c))[key]
+    return lambda c: iep_bivariate_from_redundancy(c.dist, c.target, c.value("i_cap_d"))[key]
 
 
 # Row evaluations that are not measures: the inclusion-exclusion atoms
@@ -258,20 +266,26 @@ _TABLES = {
 }
 
 
-def _row_value(how, seed: int, earlier: list):
-    """The computed value of one reproduce row; ``earlier`` holds the case's earlier values."""
+def _row_value(how, seed: int, earlier: list, contexts: dict):
+    """The computed value of one reproduce row; ``earlier`` holds the case's earlier values.
+
+    ``contexts`` keeps one context per (distribution, r, target, sources)
+    for the whole table, so rows on the same input share its values.
+    """
     if callable(how):
         for value in earlier:
             if isinstance(value, Exception):
                 raise value
         return how(*earlier)
     source, rs, target_spec, sources_spec, evaluation = how
-    fn = MEASURES.get(evaluation) or _TABLE_EVALUATIONS[evaluation]
     values = []
     for r in rs:
-        dist = canonical(source, r) if isinstance(source, str) else source
-        target = _resolve_target(dist, target_spec, "")
-        values.append(fn(_Ctx(dist, target, _resolve_sources(dist, sources_spec, target), seed)))
+        key = (source, r, target_spec, sources_spec)
+        if key not in contexts:
+            dist = canonical(source, r) if isinstance(source, str) else source
+            target = _resolve_target(dist, target_spec, "")
+            contexts[key] = _Ctx(dist, target, _resolve_sources(dist, sources_spec, target), seed)
+        values.append(contexts[key].value(evaluation))
     return values[0] if len(values) == 1 else sum(values) / len(values)
 
 
@@ -287,13 +301,14 @@ def cmd_reproduce(args) -> int:
     print(header)
     print("-" * len(header))
     earlier: dict[str, list] = {}
+    contexts: dict[tuple, _Ctx] = {}
     for case, label, how, expected, tol in _TABLES[args.table]:
         if how is None:
             print(f"{case:<18} {label:<26} {'-':>12} {str(expected):>12}  skipped")
             continue
         seen = earlier.setdefault(case, [])
         try:
-            value = _row_value(how, args.seed, seen)
+            value = _row_value(how, args.seed, seen, contexts)
         except _SOLVER_ERRORS as exc:
             value = exc
         seen.append(value)

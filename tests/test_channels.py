@@ -1,7 +1,10 @@
 """Degradation order, degradation redundancy, and coupling minimization."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cipid import (
     ArgumentError,
@@ -16,7 +19,8 @@ from cipid import (
     s_d,
     vk_union_information,
 )
-from cipid.distribution import _marginal_pmf
+from cipid.corpus import CORPUS
+from cipid.distribution import _marginal_pmf, _source_variables, _table
 from cipid.sources import SourceCollection, normalize_sources
 
 
@@ -207,12 +211,99 @@ class TestCouplingMinimization:
         # both sources carry the full bit, so the coupling cannot go lower
         assert rep.value == pytest.approx(rep.certificate, abs=1e-6)
 
+    def test_projection_fault_input_is_solved(self):
+        """A 3x2x2 input on which the old projected descent left the constraint set."""
+        d = projection_fault_pmf()
+        rep = vk_union_information(d, VariableSet.of(0), SourceCollection.of((1,), (2,)))
+        assert rep.value == pytest.approx(0.239257465, abs=1e-8)
+        assert rep.converged
+
+    def test_value_does_not_depend_on_alphabet_order(self):
+        shape = (3, 2, 3, 3)
+        p = np.random.default_rng(3).dirichlet(np.full(54, 0.4))
+        p[p < 0.02] = 0.0
+        p = (p / p.sum()).reshape(shape)
+        pmf = {c: float(p[c]) for c in itertools.product(*map(range, shape)) if p[c] > 0.0}
+        coll = SourceCollection.of((1,), (2,), (3,))
+        values = []
+        for order in (list, lambda a: list(reversed(a))):
+            d = JointDistribution(("T", "Y1", "Y2", "Y3"), pmf,
+                                  alphabets=tuple(tuple(order(range(n))) for n in shape))
+            values.append(vk_union_information(d, VariableSet.of(0), coll).value)
+        assert values[0] == pytest.approx(values[1], abs=1e-9)
+
+    def test_boom_reaches_one_bit(self):
+        d = canonical("BOOM")
+        rep = vk_union_information(d, target_of(d), normalize_sources(d, pair_collection(d)))
+        assert rep.value == pytest.approx(1.0, abs=1e-9)
+        assert rep.lower <= 1.0 <= rep.value
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_every_corpus_solve_is_certified(self, name):
+        rs = (0.0, 0.25, 0.5, 29 / 32, 31 / 32) if CORPUS[name].parametric else (None,)
+        for r in rs:
+            d = canonical(name, r)
+            t = d.varset(*CORPUS[name].default_target.split(","))
+            coll = normalize_sources(d, SourceCollection.singletons(_source_variables(d, t)))
+            rep = vk_union_information(d, t, coll)
+            assert rep.converged, (name, r)
+            assert 0.0 <= rep.value - rep.lower <= 1e-9, (name, r)
+
     def test_sources_overlapping_target_rejected(self):
         d = canonical("AND")
         with pytest.raises(ArgumentError):
             vk_union_information(
                 d, target_of(d), SourceCollection.of((d.index_of("T"),))
             )
+
+    def test_non_positive_tolerance_rejected(self):
+        d = canonical("AND")
+        with pytest.raises(ArgumentError, match="tol"):
+            vk_union_information(d, target_of(d), pair_collection(d), tol=0.0)
+
+
+def projection_fault_pmf():
+    counts = [59, 142, 90, 33, 189, 2, 1, 196, 223, 1, 63, 1]
+    cells = itertools.product(range(3), range(2), range(2))
+    return JointDistribution(("T", "Y1", "Y2"), {c: n / 1000 for c, n in zip(cells, counts)})
+
+
+@st.composite
+def coupling_cases(draw):
+    """A pmf over T and 2-3 predictors, zero cells allowed, and a source collection."""
+    arities = [draw(st.integers(2, 3)) for _ in range(draw(st.integers(3, 4)))]
+    cells = list(itertools.product(*map(range, arities)))
+    weights = draw(st.lists(st.integers(0, 6), min_size=len(cells), max_size=len(cells))
+                   .filter(lambda w: sum(w) > 0))
+    names = ("T",) + tuple(f"Y{i}" for i in range(1, len(arities)))
+    d = JointDistribution(names, {c: k / sum(weights) for c, k in zip(cells, weights) if k},
+                          alphabets=tuple(tuple(range(n)) for n in arities))
+    if len(arities) == 4 and draw(st.booleans()):
+        return d, SourceCollection.of((1, 2), (2, 3))
+    return d, SourceCollection.singletons(range(1, len(arities)))
+
+
+@given(coupling_cases())
+@settings(max_examples=40, deadline=None)
+def test_coupling_certificate(case):
+    d, coll = case
+    t = VariableSet.of(0)
+    coll = normalize_sources(d, coll)
+    rep = vk_union_information(d, t, coll)
+    assert rep.lower <= rep.value
+    if rep.converged:
+        assert rep.value - rep.lower <= 1e-8
+    total = mutual_information(d, VariableSet(tuple(range(1, d.n_vars))), t)
+    assert rep.certificate - 1e-9 <= rep.value <= total + 1e-9
+    # the argument keeps every per-source conditional p(a_i|t)
+    q = rep.argument
+    p_t = _table(d, (0,))
+    for s in coll:
+        idx = (0,) + s.members.indices
+        want = _table(d, idx)
+        got = _table(q, [q.index_of(d.var_names[i]) for i in idx])
+        live = p_t > 0.0
+        assert np.max(np.abs(got - want)[live] / p_t[live].reshape((-1,) + (1,) * len(s.members))) <= 1e-9
 
 
 class TestSd:

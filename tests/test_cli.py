@@ -1,5 +1,10 @@
 """Command line behaviour, driven through main(argv)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cipid import SolverError, canonical, save_distribution
@@ -36,6 +41,17 @@ class TestMeasure:
         code, out, _ = run(capsys, "measure", "--dist", str(path), "--measure", "s_ci")
         assert code == 0
         assert out == "s_ci\t1.000000\n"
+
+    def test_s_d_on_the_projection_fault_input(self, capsys, tmp_path):
+        """The old projected descent exited 3 on this file."""
+        counts = [59, 142, 90, 33, 189, 2, 1, 196, 223, 1, 63, 1]
+        cells = [(t, a, b) for t in range(3) for a in range(2) for b in range(2)]
+        path = tmp_path / "fault.dist"
+        path.write_text("T Y1 Y2 p\n" + "".join(
+            f"{t} {a} {b} {n}/1000\n" for (t, a, b), n in zip(cells, counts)))
+        code, out, err = run(capsys, "measure", "--dist", str(path), "--measure", "s_d")
+        assert code == 0, err
+        assert out.startswith("s_d\t")
 
     def test_source_grouping(self, capsys):
         code, out, _ = run(
@@ -205,6 +221,18 @@ class TestReproduce:
         ]
         assert all(" error " in ln for ln in out.splitlines()[-3:])
 
+    def test_worked_examples_solve_each_redundancy_once(self, capsys, monkeypatch):
+        calls = []
+        real = cli.degradation_redundancy
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "degradation_redundancy", counted)
+        run(capsys, "reproduce", "worked-examples")
+        assert len(calls) == 4
+
     def test_worked_examples_all_ok(self, capsys):
         code, out, _ = run(capsys, "reproduce", "worked-examples")
         assert code == 0
@@ -275,3 +303,11 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("cipid ")
+
+
+def test_import_leaves_scipy_out():
+    """The package and its CLI import numpy only; scipy would add tens of MB."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, cipid, cipid.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
