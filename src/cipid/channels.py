@@ -70,9 +70,11 @@ class OptimizationReport:
     channel for the redundancy search, a joint distribution for the
     union minimization).  ``certificate`` is the analytic bound the
     value was checked against: an upper bound for maximizations, a
-    lower bound for minimizations.  ``lower`` is a proven lower bound
-    on the optimum of a minimization (the value minus its Frank-Wolfe
-    gap), or None where the solver gives none.  ``converged`` reports
+    lower bound for minimizations.  ``lower`` is a lower bound on the
+    optimum of a minimization (the value minus its Frank-Wolfe gap), or
+    None where the solver gives none.  It is proven only up to the
+    simplex's absolute reduced-cost tolerance of 1e-10 per certificate
+    LP, not up to rounding.  ``converged`` reports
     whether the solver stopped by its own criterion rather than an
     iteration cap; for the union minimization it means the gap is
     within the solver's tolerance.
@@ -111,26 +113,12 @@ def degradation_leq(
     with the garbling matrix and its residual.
     """
     _check_compatible(k, kp)
-    nt = len(k.input_states)
     ny = len(k.output_alphabet)
     nyp = len(kp.output_alphabet)
-    nv = nyp * ny
-
-    rows = []
-    rhs = []
-    for t in range(nt):
-        for y in range(ny):
-            row = np.zeros(nv)
-            row[y::ny] = kp.matrix[t]
-            rows.append(row)
-            rhs.append(k.matrix[t, y])
-    for yp in range(nyp):
-        row = np.zeros(nv)
-        row[yp * ny : (yp + 1) * ny] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-
-    sol = solve_lp(np.zeros(nv), np.array(rows), np.array(rhs))
+    # unknowns M[yp, y] in row-major order: K = K'M, then unit row sums of M
+    a_eq = np.vstack([np.kron(kp.matrix, np.eye(ny)), np.kron(np.eye(nyp), np.ones((1, ny)))])
+    b_eq = np.concatenate([k.matrix.ravel(), np.ones(nyp)])
+    sol = solve_lp(np.zeros(nyp * ny), a_eq, b_eq)
     if sol.status != "optimal":
         return False, None
     m = sol.x.reshape(nyp, ny)
@@ -171,31 +159,20 @@ def degradation_redundancy(
     n_out = nt
     mats = [ch.matrix for ch in channels]
     widths = [m.shape[1] for m in mats]
-    offsets = np.concatenate([[0], np.cumsum([c * n_out for c in widths])])
-    nv = int(offsets[-1])
+    offsets = np.cumsum([0] + [c * n_out for c in widths]).tolist()
+    nv = offsets[-1]
 
-    rows = []
-    rhs = []
-    for i in range(1, len(mats)):
-        for t in range(nt):
-            for q in range(n_out):
-                row = np.zeros(nv)
-                row[int(offsets[0]) + q : int(offsets[1]) : n_out] = mats[0][t]
-                row[int(offsets[i]) + q : int(offsets[i + 1]) : n_out] -= mats[i][t]
-                rows.append(row)
-                rhs.append(0.0)
-    for i, width in enumerate(widths):
-        for r in range(width):
-            row = np.zeros(nv)
-            start = int(offsets[i]) + r * n_out
-            row[start : start + n_out] = 1.0
-            rows.append(row)
-            rhs.append(1.0)
-    a_eq = np.array(rows)
-    b_eq = np.array(rhs)
+    # unknowns M_i[y, q] block by block; K_0 M_0 = K_i M_i, then unit row sums
+    eye = np.eye(n_out)
+    coupling = np.zeros((len(mats) - 1, nt * n_out, nv))
+    for i, block in enumerate(coupling, start=1):
+        block[:, : offsets[1]] = np.kron(mats[0], eye)
+        block[:, offsets[i] : offsets[i + 1]] -= np.kron(mats[i], eye)
+    a_eq = np.vstack([coupling.reshape(-1, nv), np.kron(np.eye(sum(widths)), np.ones((1, n_out)))])
+    b_eq = np.concatenate([np.zeros(len(a_eq) - sum(widths)), np.ones(sum(widths))])
 
     def kq_of(x: np.ndarray) -> np.ndarray:
-        m1 = x[int(offsets[0]) : int(offsets[1])].reshape(widths[0], n_out)
+        m1 = x[offsets[0] : offsets[1]].reshape(widths[0], n_out)
         return mats[0] @ m1
 
     def objective(x: np.ndarray) -> float:
@@ -207,7 +184,7 @@ def degradation_redundancy(
         ok = (kq > 1e-15) & (out > 1e-15)
         g = w[:, None] * np.log2(np.where(ok, kq, 1.0) / np.where(ok, out, 1.0))
         c = np.zeros(nv)
-        c[int(offsets[0]) : int(offsets[1])] = (mats[0].T @ g).ravel()
+        c[offsets[0] : offsets[1]] = (mats[0].T @ g).ravel()
         return c
 
     def vertex_toward(c: np.ndarray) -> np.ndarray:

@@ -1,11 +1,14 @@
-"""Dense two-phase simplex solver for small equality-form linear programs.
+"""Dense two-phase simplex solver for equality-form linear programs.
 
 Solves min (or max) of c.x subject to A x = b and x >= 0.  Bland's rule
 is used for both the entering and the leaving choice, which rules out
 cycling on the degenerate programs that show up in channel-ordering
-feasibility tests.  Everything is dense and built on numpy; the sizes
-in this package stay in the tens of variables, so tableau updates are
-cheap and there is no need for sparsity or a revised formulation.
+feasibility tests.  The tableau is a dense numpy array.  Sizes range
+from a few rows for a garbling test to 272 x 256 for ``i_cap_d`` and
+320 x 1024 for the null-cell search of ``s_dep`` on RDNUNQXOR.  The
+constraint matrices of those programs are mostly zeros, so a pivot
+updates only the rows with a nonzero entry in the pivot column; the
+other rows would be left unchanged by the update anyway.
 """
 
 from __future__ import annotations
@@ -36,37 +39,33 @@ class LpSolution:
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tab[row] /= tab[row, col]
-    for i in range(tab.shape[0]):
-        if i != row and tab[i, col] != 0.0:
-            tab[i] -= tab[i, col] * tab[row]
+    pivot_row = tab[row] / tab[row, col]
+    rows = tab[:, col].nonzero()[0]
+    tab[rows] -= tab[rows, col, None] * pivot_row
+    tab[row] = pivot_row
     basis[row] = col
 
 
-def _run_simplex(tab: np.ndarray, basis: list[int], ncols: int) -> str:
-    """Pivot to optimality over the first ``ncols`` columns. Bland's rule."""
-    m = tab.shape[0] - 1
+def _run_simplex(tab: np.ndarray, basis: list[int]) -> str:
+    """Pivot to optimality by Bland's rule; the last row and column hold costs and rhs."""
+    costs = tab[-1, :-1]
     for _ in range(_MAX_PIVOTS):
-        enter = -1
-        for j in range(ncols):
-            if tab[-1, j] < -_COST_TOL:
-                enter = j
-                break
-        if enter < 0:
+        improving = costs < -_COST_TOL
+        enter = int(improving.argmax())
+        if not improving[enter]:
             return "optimal"
 
+        # sequential in row order, so the 1e-12 tie window picks as Bland's rule does
         leave = -1
         best = np.inf
-        for i in range(m):
-            a = tab[i, enter]
-            if a > _PIVOT_TOL:
-                ratio = tab[i, -1] / a
-                if ratio < best - 1e-12 or (
-                    abs(ratio - best) <= 1e-12
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
+        for i in (tab[:-1, enter] > _PIVOT_TOL).nonzero()[0].tolist():
+            ratio = tab[i, -1] / tab[i, enter]
+            if ratio < best - 1e-12 or (
+                abs(ratio - best) <= 1e-12
+                and (leave < 0 or basis[i] < basis[leave])
+            ):
+                best = ratio
+                leave = i
         if leave < 0:
             return "unbounded"
         _pivot(tab, basis, leave, enter)
@@ -90,10 +89,15 @@ def solve_lp(
     maximize:
         Flip the objective sense.  The reported objective is always in
         the caller's sense.
+
+    Raises :class:`~cipid.errors.ArgumentError` on mismatched shapes or
+    a non-finite coefficient.
     """
     c = np.asarray(c, dtype=float).ravel()
     a = np.asarray(a_eq, dtype=float)
     b = np.asarray(b_eq, dtype=float).ravel()
+    if not np.isfinite(np.concatenate((c, a.ravel(), b))).all():
+        raise ArgumentError("linear program coefficients must be finite")
     n = c.shape[0]
     if a.size == 0:
         a = a.reshape(0, n)
@@ -110,11 +114,9 @@ def solve_lp(
         x = np.zeros(n)
         return LpSolution("optimal", x, 0.0)
 
-    a = a.copy()
-    b = b.copy()
-    neg = b < 0.0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
+    flip = np.where(b < 0.0, -1.0, 1.0)
+    a = a * flip[:, None]
+    b = b * flip
 
     # phase 1: artificial basis, minimize the artificial mass
     tab = np.zeros((m + 1, n + m + 1))
@@ -125,7 +127,7 @@ def solve_lp(
     tab[-1, -1] = -b.sum()
     basis = list(range(n, n + m))
 
-    status = _run_simplex(tab, basis, n + m)
+    status = _run_simplex(tab, basis)
     if status != "optimal" or -tab[-1, -1] > _FEAS_TOL:
         return LpSolution("infeasible", None, None)
 
@@ -133,38 +135,30 @@ def solve_lp(
     keep = []
     for r in range(m):
         if basis[r] >= n:
-            piv = -1
-            for j in range(n):
-                if abs(tab[r, j]) > _PIVOT_TOL:
-                    piv = j
-                    break
-            if piv >= 0:
-                _pivot(tab, basis, r, piv)
-                keep.append(r)
-            # a row with no usable pivot is redundant and is dropped
-        else:
-            keep.append(r)
-    if len(keep) < m:
-        rows = keep + [m]
-        tab = tab[rows]
-        basis = [basis[r] for r in keep]
-        m = len(keep)
+            usable = np.abs(tab[r, :n]) > _PIVOT_TOL
+            piv = int(usable.argmax())
+            if not usable[piv]:
+                continue  # a row with no usable pivot is redundant
+            _pivot(tab, basis, r, piv)
+        keep.append(r)
 
-    # phase 2 on the original columns
-    tab = np.hstack([tab[:, :n], tab[:, -1:]])
+    # phase 2 on the kept rows and the original columns
+    tab = tab[keep + [m]]
+    tab = np.concatenate((tab[:, :n], tab[:, -1:]), axis=1)
+    basis = [basis[r] for r in keep]
+    m = len(keep)
     cost = np.zeros(n + 1)
     cost[:n] = obj
     for r in range(m):
         cost -= obj[basis[r]] * tab[r]
     tab[-1] = cost
 
-    status = _run_simplex(tab, basis, n)
+    status = _run_simplex(tab, basis)
     if status != "optimal":
         return LpSolution("unbounded", None, None)
 
     x = np.zeros(n)
-    for r in range(m):
-        x[basis[r]] = tab[r, -1]
+    x[basis] = tab[:m, -1]
     x[x < 0.0] = 0.0
     value = float(obj @ x)
     return LpSolution("optimal", x, sense * value)

@@ -118,6 +118,18 @@ class TestDegradationRedundancy:
         rep = degradation_redundancy(d, target_of(d), pair_collection(d), seed=0)
         assert rep.value == pytest.approx(0.0, abs=1e-6)
 
+    def test_third_source_couples_to_the_first(self):
+        """Y3 duplicates Y2 on ANDDUPLICATE, so adding it leaves the value."""
+        d = canonical("ANDDUPLICATE")
+        y1, y2, y3 = (d.index_of(n) for n in ("Y1", "Y2", "Y3"))
+        two = degradation_redundancy(d, target_of(d), SourceCollection.of((y1,), (y2,)))
+        three = degradation_redundancy(
+            d, target_of(d), SourceCollection.of((y1,), (y2,), (y3,))
+        )
+        assert two.value == pytest.approx(0.31127812445913283, abs=1e-9)
+        assert three.value == pytest.approx(two.value, abs=1e-9)
+        assert three.value <= three.certificate + 1e-9
+
     def test_deterministic_seed(self):
         d = canonical("BOOM")
         a = degradation_redundancy(d, target_of(d), pair_collection(d), seed=3)

@@ -168,6 +168,49 @@ def test_shape_validation():
         solve_lp(np.array([1.0, 2.0]), np.array([[1.0, 2.0]]), np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("c, a_eq, b_eq", [
+    ([np.nan, 1.0], [[1.0, 1.0]], [1.0]),
+    ([1.0, 1.0], [[np.inf, 1.0]], [1.0]),
+    ([1.0, 1.0], [[1.0, 1.0]], [np.nan]),
+])
+def test_non_finite_input_rejected(c, a_eq, b_eq):
+    with pytest.raises(ArgumentError):
+        solve_lp(np.array(c), np.array(a_eq), np.array(b_eq))
+
+
+def _random_feasible_lp(rng, degenerate):
+    """Up to 30 x 90, feasible at x0 and bounded by a total-mass row.
+
+    A degenerate instance has a sparse x0 and small integer
+    coefficients, so its vertices can carry basic variables at zero and
+    its ratio tests can tie.
+    """
+    m = int(rng.integers(2, 31))
+    n = int(rng.integers(m + 1, 3 * m + 1))
+    x0 = rng.uniform(0.0, 1.0, size=n)
+    if degenerate:
+        x0[rng.random(n) < 0.8] = 0.0
+        x0[rng.integers(n)] = 1.0
+        rest = rng.integers(-2, 3, size=(m - 1, n)).astype(float)
+    else:
+        rest = rng.normal(size=(m - 1, n))
+    a = np.vstack([np.ones(n), rest])
+    return rng.normal(size=n), a, a @ x0
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_random_programs_match_highs(seed):
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(seed)
+    c, a, b = _random_feasible_lp(rng, degenerate=seed % 2 == 1)
+    sol = solve_lp(c, a, b)
+    want = optimize.linprog(c, A_eq=a, b_eq=b, bounds=(0.0, None), method="highs")
+    assert sol.status == "optimal" and want.status == 0
+    assert np.min(sol.x) >= 0.0
+    assert np.max(np.abs(a @ sol.x - b)) <= 1e-8
+    assert sol.objective == pytest.approx(want.fun, abs=1e-7)
+
+
 def test_solution_container():
     sol = LpSolution("optimal", np.array([1.0]), 2.5)
     assert sol.status == "optimal"
