@@ -144,7 +144,10 @@ def degradation_redundancy(
     point, solve for the best vertex, jump if it improves.  Starts once
     from the uniform channel and ``restarts`` more times from random
     vertices, keeping the best value (first found wins ties).  The
-    output alphabet of Q has one letter per target state.
+    output alphabet of Q has one letter per target state, which can miss
+    the supremum even for a lone source: with mass 1/3 at (T, Y1, Y2) =
+    (0, 0, 0), (1, 1, 1) and 1/6 at (0, 2, 2), (1, 2, 2), {Y1} gives
+    0.4591 < I(Y1;T) = 0.6667, which three letters reach.
 
     The reported value is a lower bound on the supremum; the report's
     certificate is the upper bound min over sources of I(Y_i;T).
@@ -419,20 +422,14 @@ def vk_union_information(
         x0 = _max_entropy_start(dist, t_idx, pooled, collection)[live] / w[:, None]
     support = x0 > 0.0
 
-    def f(x: np.ndarray) -> float:
-        """I(A;T) in bits of the couplings ``x``, one row per target state."""
-        r = w @ x
-        pos = x > 0.0
-        ratio = np.where(pos, x, 1.0) / np.where(pos, r, 1.0)
-        return float(w @ np.where(pos, x * np.log2(ratio), 0.0).sum(axis=1))
-
     def fw_gap(x: np.ndarray) -> float:
         """Frank-Wolfe gap f(x) - min over couplings s of <grad f(x), s>.
 
-        f is convex, so it bounds f(x) minus the minimum.  A cell that is
-        zero in every row gets the subgradient 0; a zero cell of the
-        support under a positive column mass has slope -inf, so the gap
-        is infinite there.
+        f(x) is I(A;T) of the couplings ``x``, their channel information
+        under the target weights ``w``.  f is convex, so the gap bounds
+        f(x) minus the minimum.  A cell that is zero in every row gets the
+        subgradient 0; a zero cell of the support under a positive column
+        mass has slope -inf, so the gap is infinite there.
         """
         r = w @ x
         on = x > 0.0
@@ -448,7 +445,7 @@ def vk_union_information(
             low += sol.objective
         # the simplex stops at reduced costs of -1e-10, and rounding can put
         # its optimum a hair above f(x); a gap is never negative
-        return max(f(x) - low, 0.0)
+        return max(_channel_information(w, x) - low, 0.0)
 
     best_x, gap = x0, fw_gap(x0)
     if gap > tol:
@@ -474,7 +471,7 @@ def vk_union_information(
     certificate = max(
         _mi_lenient(dist, s.members.indices, t_idx) for s in collection
     )
-    value = f(best_x)
+    value = _channel_information(w, best_x)
     return OptimizationReport(
         value=value,
         argument=argument,
@@ -483,6 +480,18 @@ def vk_union_information(
         converged=gap <= tol,
         lower=value - gap,
     )
+
+
+def _union_value(
+    dist: JointDistribution, target: VariableSet, collection: SourceCollection
+) -> float:
+    """Minimized union information of the normalized collection; SolverError unless converged."""
+    report = vk_union_information(dist, target, normalize_sources(dist, collection))
+    if not report.converged:
+        raise SolverError(
+            f"union minimization stopped with Frank-Wolfe gap {report.value - report.lower:.3e}"
+        )
+    return report.value
 
 
 def s_d(
@@ -495,12 +504,11 @@ def s_d(
     With ``collection`` omitted, every non-target variable becomes a
     singleton source.  The collection is normalized before the solve.
     Values in a small negative rounding band are clamped to zero;
-    solver failures propagate.
+    solver failures propagate, and an unconverged minimization raises
+    :class:`~cipid.errors.SolverError` with its Frank-Wolfe gap.
     """
     src = _source_variables(dist, target)
     if collection is None:
         collection = SourceCollection.singletons(src)
-    norm = normalize_sources(dist, collection)
     i_total = _mi_lenient(dist, src, target.indices)
-    report = vk_union_information(dist, target, norm)
-    return _clamp_nonneg(i_total - report.value, "synergy")
+    return _clamp_nonneg(i_total - _union_value(dist, target, collection), "synergy")

@@ -25,6 +25,7 @@ import numpy as np
 from .distribution import (
     JointDistribution,
     VariableSet,
+    _bits,
     _check_target,
     _check_vars,
     _clamp_nonneg,
@@ -34,7 +35,7 @@ from .distribution import (
     _source_variables,
     _table,
 )
-from .errors import ArgumentError, ConsistencyError
+from .errors import ArgumentError
 from .sources import (
     CiPartition,
     SourceCollection,
@@ -122,11 +123,6 @@ def build_q(
     return _from_table(dist, layout, q)
 
 
-def _bits(masses: np.ndarray) -> float:
-    x = masses[masses > 0.0]
-    return float(-(x * np.log2(x)).sum())
-
-
 def ci_union_information(
     dist: JointDistribution, target: VariableSet, collection: SourceCollection
 ) -> float:
@@ -207,34 +203,30 @@ def ci_synergy(
     return _clamp_nonneg(i_total - ci_union_information(dist, target, collection), "synergy")
 
 
+def _two_predictor_informations(
+    dist: JointDistribution, target: VariableSet, what: str
+) -> tuple[list[int], float, float, float]:
+    """The two predictors, I(Y1;T), I(Y2;T) and I(Y1,Y2;T); raises unless there are two."""
+    src = _source_variables(dist, target)
+    if len(src) != 2:
+        raise ArgumentError(f"{what} needs exactly two predictor variables, found {len(src)}")
+    i1, i2 = (_mi_lenient(dist, [y], target.indices) for y in src)
+    return src, i1, i2, _mi_lenient(dist, src, target.indices)
+
+
+def _iep_atoms(i1: float, i2: float, whole: float, r: float) -> dict[str, float]:
+    """Atoms of redundancy ``r``: U_i = I(Y_i;T) - R and S = I(Y;T) - R - U1 - U2."""
+    u1, u2 = i1 - r, i2 - r
+    return {"R": r, "U1": u1, "U2": u2, "S": whole - r - u1 - u2}
+
+
 def ci_bivariate_decomposition(dist: JointDistribution, target: VariableSet) -> PidResult:
     """Full four-atom decomposition for exactly two predictor variables.
 
     Returns entries R, U1, U2, S along with I_cup and I_total.  U1 is
     the unique contribution of the lower-indexed predictor.  The atoms
-    satisfy R + U1 + U2 + S = I(Y1,Y2; T) to within rounding.
+    are the inclusion-exclusion atoms of R = I(Y1;T) + I(Y2;T) - I_cup.
     """
-    src = _source_variables(dist, target)
-    if len(src) != 2:
-        raise ArgumentError(
-            f"bivariate decomposition needs exactly two predictor variables, found {len(src)}"
-        )
-    y1, y2 = src
-    i1 = _mi_lenient(dist, [y1], target.indices)
-    i2 = _mi_lenient(dist, [y2], target.indices)
-    i_total = _mi_lenient(dist, src, target.indices)
-    icup = ci_union_information(dist, target, SourceCollection.of([y1], [y2]))
-
-    s = i_total - icup
-    u1 = icup - i2
-    u2 = icup - i1
-    r = i1 - u1
-
-    total = r + u1 + u2 + s
-    if abs(total - i_total) > 1e-9:
-        raise ConsistencyError(
-            f"atoms sum to {total!r} but the joint information is {i_total!r}"
-        )
-    return PidResult(
-        {"R": r, "U1": u1, "U2": u2, "S": s, "I_cup": icup, "I_total": i_total}
-    )
+    src, i1, i2, whole = _two_predictor_informations(dist, target, "bivariate decomposition")
+    icup = ci_union_information(dist, target, SourceCollection.singletons(src))
+    return PidResult({**_iep_atoms(i1, i2, whole, i1 + i2 - icup), "I_cup": icup, "I_total": whole})

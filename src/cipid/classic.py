@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ci import PidResult, build_q
+from .ci import PidResult, _iep_atoms, _two_predictor_informations, build_q
 from .distribution import (
     JointDistribution,
     VariableSet,
@@ -77,12 +77,6 @@ def specific_information(
     Raises if p(t) is zero.
     """
     _check_target(dist, target)
-    if len(source) == 0:
-        raise ArgumentError("source must be non-empty")
-    _check_vars(dist, source, "source")
-    if not source.isdisjoint(target):
-        raise ArgumentError("source and target variables overlap")
-
     tval = tuple(t) if isinstance(t, (tuple, list)) else (t,)
     if len(tval) != len(target):
         raise ArgumentError(f"target state {t!r} has wrong arity for {len(target)} variables")
@@ -90,20 +84,35 @@ def specific_information(
     p_t = _marginal_pmf(dist, target.indices)
     if tval not in p_t:
         raise ArgumentError(f"target state {t!r} has zero probability")
-    pt = p_t[tval]
+    return _specific_informations(dist, target, source, p_t)[tval]
 
+
+def _specific_informations(
+    dist: JointDistribution, target: VariableSet, source: VariableSet, p_t: dict
+) -> dict[tuple, float]:
+    """Specific information of ``source`` for every target state of ``p_t``.
+
+    ``p_t`` is the target marginal.  One walk over the (source, target)
+    marginal adds each source state's term to its target state.
+    """
+    if len(source) == 0:
+        raise ArgumentError("source must be non-empty")
+    _check_vars(dist, source, "source")
+    if not source.isdisjoint(target):
+        raise ArgumentError("source and target variables overlap")
     p_a = _marginal_pmf(dist, source.indices)
-    joint = _marginal_pmf(dist, source.indices + target.indices)
     ns = len(source)
-    total = 0.0
-    for key, p in joint.items():
-        if key[ns:] != tval:
-            continue
-        aval = key[:ns]
-        p_a_given_t = p / pt
-        p_t_given_a = p / p_a[aval]
-        total += p_a_given_t * (math.log2(p_t_given_a) - math.log2(pt))
-    return total
+    out = dict.fromkeys(p_t, 0.0)
+    for key, p in _marginal_pmf(dist, source.indices + target.indices).items():
+        tval = key[ns:]
+        pt = p_t[tval]
+        out[tval] += p / pt * (math.log2(p / p_a[key[:ns]]) - math.log2(pt))
+    return out
+
+
+def _expected_minimum(p_t: dict, informations: list[dict[tuple, float]]) -> float:
+    """Sum over target states t of p(t) times the least specific information at t."""
+    return math.fsum(pt * min(si[tval] for si in informations) for tval, pt in p_t.items())
 
 
 def imin_redundancy(
@@ -117,12 +126,9 @@ def imin_redundancy(
     """
     _check_target(dist, target)
     p_t = _marginal_pmf(dist, target.indices)
-    total = 0.0
-    for tval, pt in p_t.items():
-        total += pt * min(
-            specific_information(dist, target, s.members, tval) for s in collection
-        )
-    return total
+    return _expected_minimum(
+        p_t, [_specific_informations(dist, target, s.members, p_t) for s in collection]
+    )
 
 
 @dataclass(frozen=True)
@@ -219,19 +225,12 @@ def wb_pid(dist: JointDistribution, target: VariableSet) -> PidResult:
     names = [dist.var_names[v] for v in src]
 
     p_t = _marginal_pmf(dist, target.indices)
-    si: dict[tuple[int, ...], dict[tuple, float]] = {}
-    for r in range(1, n + 1):
-        for sub in itertools.combinations(range(1, n + 1), r):
-            vs = VariableSet(tuple(src[k - 1] for k in sub))
-            si[sub] = {
-                tval: specific_information(dist, target, vs, tval) for tval in p_t
-            }
-
-    imin = []
-    for node in lat.nodes:
-        imin.append(
-            math.fsum(pt * min(si[sub][tval] for sub in node) for tval, pt in p_t.items())
-        )
+    si = {
+        sub: _specific_informations(dist, target, VariableSet(tuple(src[k - 1] for k in sub)), p_t)
+        for r in range(1, n + 1)
+        for sub in itertools.combinations(range(1, n + 1), r)
+    }
+    imin = [_expected_minimum(p_t, [si[sub] for sub in node]) for node in lat.nodes]
 
     atoms = [0.0] * len(lat.nodes)
     for i in range(len(lat.nodes)):
@@ -326,8 +325,10 @@ def _null_cells(p: np.ndarray, plans: list) -> np.ndarray:
     also be forced to zero by a combination of constraints even though
     every marginal cell touching it is positive; proportional fitting
     approaches such zeros only at a polynomial rate, so they are found
-    exactly here instead, by maximizing the cell's mass over the
-    constraint polytope.  Zeroing them does not change the fit: the
+    exactly here instead.  Each round maximizes the summed mass of the
+    remaining candidates over the constraint polytope and drops those
+    that come out above 1e-12; once none does, the rest are null if the
+    optimum is at most 1e-12.  Zeroing them does not change the fit: the
     maximum-entropy distribution lives on the maximal feasible support.
     """
     mask = np.zeros(p.size, dtype=bool)
@@ -342,12 +343,17 @@ def _null_cells(p: np.ndarray, plans: list) -> np.ndarray:
     a_eq = np.vstack(rows).astype(float)
     b_eq = np.concatenate([tvec for _, tvec in plans])
 
-    for i in candidates:
+    while candidates.size:
         c = np.zeros(p.size)
-        c[i] = 1.0
+        c[candidates] = 1.0
         sol = solve_lp(c, a_eq, b_eq, maximize=True)
-        if sol.status == "optimal" and sol.objective <= 1e-12:
-            mask[i] = True
+        if sol.status != "optimal":
+            break
+        positive = sol.x[candidates] > 1e-12
+        if not positive.any():
+            mask[candidates] = sol.objective <= 1e-12
+            break
+        candidates = candidates[~positive]
     return mask
 
 
@@ -369,6 +375,8 @@ def maxent_ipf(
     """
     if max_sweeps < 1:
         raise ArgumentError("max_sweeps must be at least 1")
+    if not tol > 0.0:
+        raise ArgumentError(f"tol must be positive, got {tol!r}")
     if not preserved_marginals:
         raise ArgumentError("need at least one marginal to preserve")
     covered: set[int] = set()
@@ -483,19 +491,10 @@ def iep_bivariate_from_redundancy(
     negative when the supplied redundancy exceeds what the interaction
     supports.
     """
-    src = _source_variables(dist, target)
-    if len(src) != 2:
-        raise ArgumentError(
-            f"inclusion-exclusion decomposition needs exactly two predictors, found {len(src)}"
-        )
+    _, i1, i2, whole = _two_predictor_informations(
+        dist, target, "inclusion-exclusion decomposition"
+    )
     r = float(redundancy)
     if not math.isfinite(r):
         raise ArgumentError(f"redundancy must be finite, got {redundancy!r}")
-    y1, y2 = src
-    i1 = _mi_lenient(dist, [y1], target.indices)
-    i2 = _mi_lenient(dist, [y2], target.indices)
-    whole = _mi_lenient(dist, src, target.indices)
-    u1 = i1 - r
-    u2 = i2 - r
-    s = whole - r - u1 - u2
-    return PidResult({"R": r, "U1": u1, "U2": u2, "S": s, "I_total": whole})
+    return PidResult({**_iep_atoms(i1, i2, whole, r), "I_total": whole})

@@ -17,7 +17,7 @@ from typing import Callable
 
 from . import __version__
 from .axioms import run_axiom_suite
-from .channels import Channel, degradation_leq, degradation_redundancy, s_d, vk_union_information
+from .channels import Channel, _union_value, degradation_leq, degradation_redundancy, s_d
 from .ci import ci_synergy, ci_union_information
 from .classic import (
     delta_i_synergy,
@@ -38,7 +38,7 @@ from .errors import (
     SolverError,
     UnsupportedError,
 )
-from .sources import SourceCollection, normalize_sources
+from .sources import SourceCollection
 
 _USAGE_ERRORS = (ArgumentError, ParseError, UnsupportedError, DomainError)
 _SOLVER_ERRORS = (SolverError, ConsistencyError)
@@ -77,9 +77,7 @@ MEASURES: dict[str, Callable[[_Ctx], float]] = {
     "s_wb": lambda c: wb_synergy(c.dist, c.target),
     "i_cup_wb": lambda c: wb_union_information(c.dist, c.target),
     "s_d": lambda c: s_d(c.dist, c.target, c.collection),
-    "i_cup_vk": lambda c: vk_union_information(
-        c.dist, c.target, normalize_sources(c.dist, c.collection)
-    ).value,
+    "i_cup_vk": lambda c: _union_value(c.dist, c.target, c.collection),
     "i_cap_d": lambda c: degradation_redundancy(
         c.dist, c.target, c.collection, seed=c.seed
     ).value,

@@ -365,7 +365,7 @@ def load_distribution(path) -> JointDistribution:
     raise :class:`~cipid.errors.ParseError`; the row problems carry the
     offending line number.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = fh.readlines()
 
     header: list[str] | None = None
@@ -412,19 +412,19 @@ def load_distribution(path) -> JointDistribution:
 def save_distribution(dist: JointDistribution, path) -> None:
     """Write a distribution in the plain-text table format.
 
-    Symbols are written with ``str``; they must not contain whitespace.
+    Symbols are written with ``str``; they must not contain whitespace,
+    and neither a symbol of the first variable nor the first variable
+    name may start with ``#``, which would make its line a comment.
     Probabilities use ``repr``, which round-trips doubles exactly, so
     saving and loading a string-symbol distribution is lossless.
     """
-    rows = []
-    for outcome, p in dist.pmf.items():
-        syms = [str(s) for s in outcome]
-        for s in syms:
-            if not s or any(ch.isspace() for ch in s):
+    rows = [(tuple(str(s) for s in outcome), p) for outcome, p in dist.pmf.items()]
+    for line in [dist.var_names, *(syms for syms, _ in rows)]:
+        for s in line:
+            if not s or any(ch.isspace() for ch in s) or line[0].startswith("#"):
                 raise ArgumentError(
-                    f"symbol {s!r} cannot be written in the whitespace-separated format"
+                    f"{s!r} cannot be written: whitespace splits fields and '#' starts a comment"
                 )
-        rows.append((tuple(syms), p))
     rows.sort(key=lambda r: r[0])
 
     with open(path, "w", encoding="utf-8") as fh:

@@ -307,15 +307,17 @@ def _channel_information(w: np.ndarray, m: np.ndarray) -> float:
     return _clamp_nonneg(total, "channel mutual information")
 
 
-def _entropy_from_pmf(pmf: Mapping[Outcome, float]) -> float:
-    return -math.fsum(p * math.log2(p) for p in pmf.values() if p > 0.0)
+def _bits(masses: np.ndarray) -> float:
+    """Entropy in bits of an array of masses; zeros contribute nothing."""
+    x = masses[masses > 0.0]
+    return float(-(x * np.log2(x)).sum())
 
 
 def _entropy_of(dist: JointDistribution, indices: Sequence[int]) -> float:
     """Entropy of a (possibly empty) group of variables; H(nothing) = 0."""
     if not indices:
         return 0.0
-    return _entropy_from_pmf(_marginal_pmf(dist, indices))
+    return _bits(np.fromiter(_marginal_pmf(dist, indices).values(), float))
 
 
 def _mi_lenient(dist: JointDistribution, a: Sequence[int], b: Sequence[int]) -> float:

@@ -10,6 +10,7 @@ from cipid import (
     ArgumentError,
     Channel,
     JointDistribution,
+    SolverError,
     VariableSet,
     canonical,
     channel_from,
@@ -19,6 +20,7 @@ from cipid import (
     s_d,
     vk_union_information,
 )
+from cipid import channels
 from cipid.corpus import CORPUS
 from cipid.distribution import _marginal_pmf, _source_variables, _table
 from cipid.sources import SourceCollection, normalize_sources
@@ -328,6 +330,13 @@ class TestSd:
         for name, want in expected.items():
             d = canonical(name)
             assert s_d(d, target_of(d)) == pytest.approx(want, abs=2e-2), name
+
+    def test_unconverged_minimization_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(channels, "_barrier_newton", lambda w, a, s, x0, *rest: (x0, 1.0))
+        d = canonical("AND")
+        assert not vk_union_information(d, target_of(d), pair_collection(d)).converged
+        with pytest.raises(SolverError, match="gap 1.000e"):
+            s_d(d, target_of(d))
 
     def test_duplicate_sources_make_no_difference(self):
         d = canonical("AND")

@@ -24,8 +24,9 @@ from cipid import (
     wb_union_information,
     wms_synergy,
 )
+from cipid import classic, solve_lp
 from cipid.ci import ci_synergy
-from cipid.distribution import _marginal_pmf, _mi_lenient
+from cipid.distribution import _cell_map, _marginal_pmf, _mi_lenient
 from cipid.sources import SourceCollection
 
 TABLE_CASES = (
@@ -101,6 +102,11 @@ class TestIminRedundancy:
             mutual_information(d, VariableSet.of(y), t), abs=1e-12
         )
 
+    def test_source_overlapping_the_target_is_rejected(self):
+        d = canonical("AND")
+        with pytest.raises(ArgumentError, match="overlap"):
+            imin_redundancy(d, target_of(d), SourceCollection.of((1,), (d.index_of("T"),)))
+
 
 class TestLattice:
     def test_two_predictor_shape(self):
@@ -134,6 +140,15 @@ class TestLattice:
 
 
 class TestWbPid:
+    def test_one_walk_per_source(self, monkeypatch):
+        """Three predictors: the target marginal, then two marginals per source."""
+        walks = []
+        monkeypatch.setattr(
+            classic, "_marginal_pmf", lambda d, idx: walks.append(idx) or _marginal_pmf(d, idx)
+        )
+        wb_pid(canonical("XORDUPLICATE"), target_of(canonical("XORDUPLICATE")))
+        assert len(walks) == 1 + 2 * 7
+
     def test_copy_atoms(self):
         d = canonical("COPY")
         atoms = wb_pid(d, target_of(d))
@@ -258,6 +273,38 @@ class TestMaxentIpf:
         d = canonical("AND")
         with pytest.raises(ArgumentError, match="max_sweeps"):
             maxent_ipf(d, [d.varset("T", "Y1", "Y2")], max_sweeps=0)
+
+    def test_null_cells_match_the_per_cell_search_in_fewer_lps(self, monkeypatch):
+        # cells 4, 7, 9 and 11 are forced to zero by the pairwise marginals,
+        # although every marginal cell touching them is positive; 6 is not
+        support = [[[1, 1, 1], [1, 0, 1], [0, 0, 1]], [[0, 1, 0], [1, 1, 1], [1, 1, 1]]]
+        w = np.array(support, dtype=float).ravel() * np.arange(1, 19)
+        p = w / w.sum()
+        shape = (2, 3, 3)
+        plans = [
+            (_cell_map(shape, axes), p.reshape(shape).sum(axis=other).ravel())
+            for axes, other in (((0, 1), 2), ((0, 2), 1), ((1, 2), 0))
+        ]
+        a_eq = np.vstack([m == np.arange(t.size)[:, None] for m, t in plans]).astype(float)
+        b_eq = np.concatenate([t for _, t in plans])
+        per_cell = [
+            solve_lp(np.eye(18)[i], a_eq, b_eq, maximize=True).objective <= 1e-12
+            for i in range(18)
+        ]
+        solves = []
+        monkeypatch.setattr(
+            classic, "solve_lp", lambda *a, **k: solves.append(1) or solve_lp(*a, **k)
+        )
+        mask = classic._null_cells(p, plans)
+        assert np.flatnonzero(mask).tolist() == [4, 7, 9, 11]
+        assert mask.tolist() == per_cell
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_needs_a_positive_tolerance(self, tol):
+        d = canonical("AND")
+        with pytest.raises(ArgumentError, match="tol"):
+            maxent_ipf(d, [d.varset("T", "Y1"), d.varset("T", "Y2")], tol=tol)
 
 
 class TestDepSynergy:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from cipid import SolverError, canonical, save_distribution
-from cipid import cli
+from cipid import channels, cli
 from cipid.cli import main
 
 
@@ -52,6 +52,22 @@ class TestMeasure:
         code, out, err = run(capsys, "measure", "--dist", str(path), "--measure", "s_d")
         assert code == 0, err
         assert out.startswith("s_d\t")
+
+    def test_file_with_a_byte_order_mark_finds_its_default_target(self, capsys, tmp_path):
+        path = tmp_path / "xor.dist"
+        path.write_text("T Y1 Y2 p\n0 0 0 1/4\n1 0 1 1/4\n1 1 0 1/4\n0 1 1 1/4\n",
+                        encoding="utf-8-sig")
+        code, out, err = run(capsys, "measure", "--dist", str(path), "--measure", "s_ci")
+        assert code == 0, err
+        assert out == "s_ci\t1.000000\n"
+
+    @pytest.mark.parametrize("measure", ["s_d", "i_cup_vk"])
+    def test_unconverged_union_minimization_exits_3(self, capsys, monkeypatch, measure):
+        monkeypatch.setattr(channels, "_barrier_newton", lambda w, a, s, x0, *rest: (x0, 1.0))
+        code, out, err = run(capsys, "measure", "--dist", "corpus:AND", "--measure", measure)
+        assert code == 3
+        assert out == ""
+        assert "gap 1.000e+00" in err
 
     def test_source_grouping(self, capsys):
         code, out, _ = run(

@@ -115,6 +115,17 @@ class TestRoundTrip:
         with pytest.raises(ArgumentError):
             save_distribution(d, tmp_path / "bad.dist")
 
+    def test_save_rejects_what_would_load_as_a_comment(self, tmp_path):
+        bad_symbol = JointDistribution(("A", "B"), {("#1", "x"): 0.5, ("2", "x"): 0.5})
+        bad_name = JointDistribution(("#A", "B"), {("1", "x"): 1.0})
+        for d in (bad_symbol, bad_name):
+            with pytest.raises(ArgumentError, match="comment"):
+                save_distribution(d, tmp_path / "bad.dist")
+        # a later column may start with '#'
+        d = JointDistribution(("A", "#B"), {("1", "#x"): 0.5, ("2", "x"): 0.5})
+        save_distribution(d, tmp_path / "ok.dist")
+        assert load_distribution(tmp_path / "ok.dist") == d
+
 
 class TestLoadFormat:
     def write(self, tmp_path, text):
