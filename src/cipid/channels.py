@@ -201,13 +201,23 @@ def degradation_redundancy(
     for _ in range(restarts):
         starts.append(vertex_toward(rng.standard_normal(nv)))
 
+    # the climb step is a function of x alone, and climbs meet at the same
+    # vertices: solve each step's LP once per call
+    steps: dict[bytes, np.ndarray] = {}
+
+    def step(x: np.ndarray) -> np.ndarray:
+        key = x.tobytes()
+        if key not in steps:
+            steps[key] = vertex_toward(linearized(x))
+        return steps[key]
+
     best_val = -1.0
     best_x = None
     best_converged = False
     for x in starts:
         converged = False
         for _ in range(max_iters):
-            s = vertex_toward(linearized(x))
+            s = step(x)
             if objective(s) > objective(x) + 1e-12:
                 x = s
             else:
@@ -490,6 +500,15 @@ def _union_value(
     if not report.converged:
         raise SolverError(
             f"union minimization stopped with Frank-Wolfe gap {report.value - report.lower:.3e}"
+        )
+    return report.value
+
+
+def _redundancy_value(report: OptimizationReport) -> float:
+    """The value of a ``degradation_redundancy`` report; SolverError unless converged."""
+    if not report.converged:
+        raise SolverError(
+            f"redundancy climb hit its iteration cap still rising, at {report.value:.6f} bits"
         )
     return report.value
 

@@ -12,12 +12,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from typing import Callable
 
 from . import __version__
 from .axioms import run_axiom_suite
-from .channels import Channel, _union_value, degradation_leq, degradation_redundancy, s_d
+from .channels import (
+    Channel,
+    _redundancy_value,
+    _union_value,
+    degradation_leq,
+    degradation_redundancy,
+    s_d,
+)
 from .ci import ci_synergy, ci_union_information
 from .classic import (
     delta_i_synergy,
@@ -78,9 +86,9 @@ MEASURES: dict[str, Callable[[_Ctx], float]] = {
     "i_cup_wb": lambda c: wb_union_information(c.dist, c.target),
     "s_d": lambda c: s_d(c.dist, c.target, c.collection),
     "i_cup_vk": lambda c: _union_value(c.dist, c.target, c.collection),
-    "i_cap_d": lambda c: degradation_redundancy(
-        c.dist, c.target, c.collection, seed=c.seed
-    ).value,
+    "i_cap_d": lambda c: _redundancy_value(
+        degradation_redundancy(c.dist, c.target, c.collection, seed=c.seed)
+    ),
     "s_dep": lambda c: dep_synergy(c.dist, c.target)["S"],
 }
 
@@ -124,19 +132,22 @@ def _resolve_sources(
     return SourceCollection.of(*groups)
 
 
+def _check_measures(names: list[str]) -> None:
+    for name in names:
+        if name not in MEASURES:
+            raise ArgumentError(
+                f"unknown measure {name!r}; available: {', '.join(MEASURES)}"
+            )
+
+
 def cmd_measure(args) -> int:
+    _check_measures(args.measure)
     dist = _resolve_dist(args.dist, args.r)
     target = _resolve_target(dist, args.target, args.dist)
     collection = _resolve_sources(dist, args.sources, target)
     ctx = _Ctx(dist, target, collection, args.seed)
     for name in args.measure:
-        fn = MEASURES.get(name)
-        if fn is None:
-            raise ArgumentError(
-                f"unknown measure {name!r}; available: {', '.join(MEASURES)}"
-            )
-        value = fn(ctx)
-        print(f"{name}\t{value:.6f}")
+        print(f"{name}\t{ctx.value(name):.6f}")
     return 0
 
 
@@ -360,21 +371,20 @@ def cmd_sweep(args) -> int:
         raise ArgumentError(
             f"unknown family {args.family!r}; available: {', '.join(_SWEEP_FAMILIES)}"
         )
-    for name in args.measure:
-        if name not in MEASURES:
-            raise ArgumentError(
-                f"unknown measure {name!r}; available: {', '.join(MEASURES)}"
-            )
+    _check_measures(args.measure)
     grid = _parse_grid(args.grid)
 
+    # every row before the file is opened, so a solver error leaves --out as it was
+    rows = []
+    for r in grid:
+        dist = canonical(args.family, r)
+        target = VariableSet.of(dist.index_of("T"))
+        ctx = _Ctx(dist, target, _resolve_sources(dist, None, target), args.seed)
+        rows.append([f"{r:g}"] + [f"{ctx.value(m):.6f}" for m in args.measure])
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r"] + list(args.measure))
-        for r in grid:
-            dist = canonical(args.family, r)
-            target = VariableSet.of(dist.index_of("T"))
-            ctx = _Ctx(dist, target, _resolve_sources(dist, None, target), args.seed)
-            writer.writerow([f"{r:g}"] + [f"{MEASURES[m](ctx):.6f}" for m in args.measure])
+        writer.writerows(rows)
     return 0
 
 
@@ -397,7 +407,9 @@ def cmd_axioms(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cipid",
         description="Partial information decomposition measures over finite discrete distributions.",

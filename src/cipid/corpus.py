@@ -344,13 +344,10 @@ def canonical(name: str, r: float | None = None) -> JointDistribution:
 
 
 def _parse_probability(token: str, line_no: int) -> float:
+    # a ratio is read exactly and rounded once; float() rounds a decimal correctly
     try:
-        return float(Fraction(token))
+        p = float(Fraction(token)) if "/" in token else float(token)
     except (ValueError, ZeroDivisionError, OverflowError):
-        pass
-    try:
-        p = float(token)
-    except ValueError:
         raise ParseError(f"cannot read probability {token!r}", line_no) from None
     if not math.isfinite(p):
         raise ParseError(f"probability {token!r} is not finite", line_no)

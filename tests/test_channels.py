@@ -149,6 +149,25 @@ class TestDegradationRedundancy:
         assert narrow.value == pytest.approx(0.311, abs=2e-2)
         assert wide.value == pytest.approx(0.0, abs=2e-2)
 
+    @pytest.mark.parametrize("name, lps, value", [
+        ("AND", 69, "0x1.3ebfb1520c7c6p-2"),
+        ("BOOM", 88, "0x1.493da4a621201p-2"),
+    ])
+    def test_each_climb_step_is_solved_once(self, monkeypatch, name, lps, value):
+        """65 start LPs, then one LP per distinct climb vertex (129 and 137 re-solving)."""
+        calls = []
+        real = channels.solve_lp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(channels, "solve_lp", counted)
+        d = canonical(name)
+        rep = degradation_redundancy(d, target_of(d), pair_collection(d))
+        assert len(calls) == lps
+        assert rep.value.hex() == value
+
     def test_ordered_sources_read_off_the_weaker_one(self):
         """When one channel is a garbling of the other, the redundancy is
         the garbled channel's full information.

@@ -1,5 +1,6 @@
 """Command line behaviour, driven through main(argv)."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -68,6 +69,49 @@ class TestMeasure:
         assert code == 3
         assert out == ""
         assert "gap 1.000e+00" in err
+
+    def test_unconverged_redundancy_climb_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "degradation_redundancy", unconverged_redundancy)
+        code, out, err = run(capsys, "measure", "--dist", "corpus:AND", "--measure", "i_cap_d")
+        assert code == 3
+        assert out == ""
+        assert "iteration cap" in err
+
+    def test_values_before_a_solver_error_are_printed(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "degradation_redundancy", unconverged_redundancy)
+        code, out, err = run(
+            capsys, "measure", "--dist", "corpus:AND",
+            "--measure", "i_total", "--measure", "i_cap_d",
+        )
+        assert code == 3
+        assert out == "i_total\t0.811278\n"
+        assert "iteration cap" in err
+
+    def test_every_name_is_checked_before_any_is_computed(self, capsys):
+        code, out, err = run(
+            capsys, "measure", "--dist", "corpus:AND",
+            "--measure", "i_total", "--measure", "bogus",
+        )
+        assert code == 2
+        assert out == ""
+        assert "unknown measure 'bogus'" in err
+
+    def test_a_repeated_name_is_computed_once(self, capsys, monkeypatch):
+        calls = []
+        real = cli.MEASURES["i_total"]
+
+        def counted(ctx):
+            calls.append(1)
+            return real(ctx)
+
+        monkeypatch.setitem(cli.MEASURES, "i_total", counted)
+        code, out, _ = run(
+            capsys, "measure", "--dist", "corpus:AND",
+            "--measure", "i_total", "--measure", "i_total",
+        )
+        assert code == 0
+        assert out == "i_total\t0.811278\ni_total\t0.811278\n"
+        assert len(calls) == 1
 
     def test_source_grouping(self, capsys):
         code, out, _ = run(
@@ -205,6 +249,10 @@ _ROWS = {
 }
 
 
+def unconverged_redundancy(*args, **kwargs):
+    return dataclasses.replace(channels.degradation_redundancy(*args, **kwargs), converged=False)
+
+
 def reproduce_cells(out):
     """(case, measure, status) of each row of a reproduce table, by column position."""
     return [
@@ -248,6 +296,17 @@ class TestReproduce:
         monkeypatch.setattr(cli, "degradation_redundancy", counted)
         run(capsys, "reproduce", "worked-examples")
         assert len(calls) == 4
+
+    def test_unconverged_redundancy_fails_its_rows(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "degradation_redundancy", unconverged_redundancy)
+        code, out, _ = run(capsys, "reproduce", "worked-examples")
+        assert code == 1
+        failed = [(case, label) for case, label, status in reproduce_cells(out) if status == "FAIL"]
+        assert failed == [
+            (case, label) for case, label, _ in _ROWS["worked-examples"]
+            if label.startswith("atom_") or label == "i_cap_d"
+        ]
+        assert out.count("iteration cap") == len(failed)
 
     def test_worked_examples_all_ok(self, capsys):
         code, out, _ = run(capsys, "reproduce", "worked-examples")
@@ -298,6 +357,26 @@ class TestSweep:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_solver_error_leaves_the_old_file(self, capsys, monkeypatch, tmp_path):
+        calls = []
+
+        def fails_at_the_second_point(ctx):
+            calls.append(1)
+            if len(calls) == 2:
+                raise SolverError("stub solver failure")
+            return 0.0
+
+        monkeypatch.setitem(cli.MEASURES, "s_ci", fails_at_the_second_point)
+        path = tmp_path / "sweep.csv"
+        path.write_text("kept\n")
+        code, _, err = run(
+            capsys, "sweep", "--family", "ADAPTED_XOR", "--grid", "0,0.5,1",
+            "--measure", "s_ci", "--out", str(path),
+        )
+        assert code == 3
+        assert "stub solver failure" in err
+        assert path.read_text() == "kept\n"
+
 
 class TestAxioms:
     def test_small_run_is_clean(self, capsys):
@@ -319,6 +398,32 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("cipid ")
+
+
+def test_successive_calls_match_fresh_processes(capsys, tmp_path):
+    """The parser is built once per process; each call still parses only its own arguments."""
+    calls = [
+        ["measure", "--dist", "corpus:AND", "--measure", "i_total", "--measure", "s_ci"],
+        ["sweep", "--family", "ADAPTED_XOR", "--grid", "0,1", "--measure", "s_ci",
+         "--out", str(tmp_path / "in_process.csv")],
+        ["measure", "--dist", "corpus:XOR", "--measure", "imin"],
+    ]
+    in_process = [run(capsys, *argv)[:2] for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    fresh = []
+    for argv in calls:
+        argv = [a.replace("in_process", "fresh") for a in argv]
+        done = subprocess.run([sys.executable, "-m", "cipid.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        fresh.append((done.returncode, done.stdout))
+    assert in_process == fresh
+    assert in_process[2][1] == "imin\t0.000000\n"
+    assert (tmp_path / "in_process.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
 
 
 def test_import_leaves_scipy_out():

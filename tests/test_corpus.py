@@ -1,7 +1,9 @@
 """Bundled distributions and the text file format."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cipid import (
@@ -13,7 +15,7 @@ from cipid import (
     load_distribution,
     save_distribution,
 )
-from cipid.corpus import CORPUS
+from cipid.corpus import CORPUS, _parse_probability
 
 PARAMETRIC = ("ADAPTED_XOR", "ADAPTED_XOR_V2", "ADAPTED_REDUCED_OR")
 
@@ -191,3 +193,55 @@ T Y p
         path = self.write(tmp_path, "T Y p\n0 a 0.5\n1 b 0.4\n")
         with pytest.raises(ParseError):
             load_distribution(path)
+
+
+def _exact_first(token, line_no):
+    """The reading every token once had: exact, then float() as the fallback."""
+    try:
+        return float(Fraction(token))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    try:
+        p = float(token)
+    except ValueError:
+        raise ParseError(f"cannot read probability {token!r}", line_no) from None
+    if not math.isfinite(p):
+        raise ParseError(f"probability {token!r} is not finite", line_no)
+    return p
+
+
+def _outcome(parse, token):
+    try:
+        return float.hex(parse(token, 7))
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+class TestProbabilityTokens:
+    def tokens(self):
+        rng = np.random.default_rng(11)
+        tiny_to_large = rng.random(100) * 10.0 ** rng.integers(-320, 5, 100)
+        doubles = np.concatenate([rng.random(300), tiny_to_large])
+        yield from (repr(float(x)) for x in doubles)
+        for digits in range(1, 26):
+            for _ in range(12):
+                text = "".join(str(d) for d in rng.integers(0, 10, digits))
+                cut = int(rng.integers(0, digits + 1))
+                yield text[:cut] + "." + text[cut:]
+                yield f"{text}e-{int(rng.integers(0, 30))}"
+        for _ in range(300):
+            a, b = (int(v) for v in rng.integers(0, 10 ** 12, 2))
+            yield f"{a}/{b + 1}"
+        yield from ("inf", "nan", "-inf", "1e400", "1e400/1", "1/0", "5e-324", "2.5e-324",
+                    "abc", "", "1/3", "-1/3", "1e-400", "1_0", "+.5", "1.", "0x10")
+
+    def test_float_reading_matches_exact_reading(self):
+        """Same double, or same error type and message, on every token."""
+        for token in self.tokens():
+            assert _outcome(_parse_probability, token) == _outcome(_exact_first, token), token
+
+    def test_negative_zero_is_dropped(self, tmp_path):
+        path = tmp_path / "dist.txt"
+        path.write_text("T Y p\n0 a -0.0\n1 a 1\n")
+        d = load_distribution(path)
+        assert dict(d.pmf) == {("1", "a"): 1.0}
