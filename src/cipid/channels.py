@@ -33,9 +33,8 @@ from .distribution import (
     _source_variables,
     _table,
     channel_from,
-    marginalize,
 )
-from .classic import maxent_ipf
+from .classic import _maxent
 from .errors import ArgumentError, ConsistencyError, SolverError
 from .simplex import solve_lp
 from .sources import SourceCollection, normalize_sources
@@ -247,28 +246,6 @@ def degradation_redundancy(
 # ---------------------------------------------------------------------------
 
 
-def _max_entropy_start(
-    dist: JointDistribution,
-    t_idx: tuple[int, ...],
-    pooled: tuple[int, ...],
-    collection: SourceCollection,
-) -> np.ndarray:
-    """The maximum-entropy joint keeping every (T, source) marginal of ``dist``.
-
-    One row per target state, one column per pooled cell.  It is zero
-    exactly off the maximal support of the couplings.
-    """
-    sub = VariableSet(t_idx + pooled)
-    pos = {v: k for k, v in enumerate(sub.indices)}
-    fit = maxent_ipf(
-        marginalize(dist, sub),
-        [VariableSet(tuple(pos[v] for v in t_idx + s.members.indices)) for s in collection],
-        tol=1e-12,
-    )
-    table = _table(fit, range(len(sub))).transpose([pos[v] for v in t_idx + pooled])
-    return table.reshape(math.prod(table.shape[: len(t_idx)]), -1)
-
-
 def _barrier_newton(
     w: np.ndarray,
     a_mat: np.ndarray,
@@ -429,7 +406,14 @@ def vk_union_information(
     if sum(len(s.members) for s in collection) == len(pooled):
         x0 = x_prod
     else:
-        x0 = _max_entropy_start(dist, t_idx, pooled, collection)[live] / w[:, None]
+        nt = len(t_idx)
+        marginals = [
+            ((*range(nt), *(nt + pooled.index(v) for v in s.members.indices)),
+             _table(dist, t_idx + s.members.indices))
+            for s in collection
+        ]
+        fit = _maxent(_table(dist, t_idx + pooled), marginals, 1e-12, 10_000)
+        x0 = fit.reshape(p_t.size, -1)[live] / w[:, None]
     support = x0 > 0.0
 
     def fw_gap(x: np.ndarray) -> float:

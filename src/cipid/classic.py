@@ -357,6 +357,37 @@ def _null_cells(p: np.ndarray, plans: list) -> np.ndarray:
     return mask
 
 
+def _maxent(p: np.ndarray, marginals: list, tol: float, max_sweeps: int) -> np.ndarray:
+    """Maximum-entropy table over the cells of ``p`` with the given marginals.
+
+    Each marginal is a pair (ascending axes of ``p``, its table); ``p``
+    itself serves only the null-cell search.  The fit starts uniform on
+    the cells that :func:`_null_cells` leaves and rescales toward each
+    marginal in the listed order until every marginal matches within
+    ``tol`` (checked after each full sweep).  Raises
+    :class:`~cipid.errors.IterationLimitError` with the residual if
+    ``max_sweeps`` sweeps do not reach tolerance.
+    """
+    x = np.full(p.size, 1.0 / p.size)
+    plans = [(_cell_map(p.shape, axes), table.ravel()) for axes, table in marginals]
+    x[_null_cells(p.ravel(), plans)] = 0.0
+
+    for _ in range(max_sweeps):
+        for mapping, tvec in plans:
+            cur = np.bincount(mapping, weights=x, minlength=tvec.size)
+            factor = np.divide(tvec, cur, out=np.zeros_like(tvec), where=cur > 0.0)
+            x *= factor[mapping]
+        residual = max(
+            float(np.max(np.abs(np.bincount(mapping, weights=x, minlength=tvec.size) - tvec)))
+            for mapping, tvec in plans
+        )
+        if residual < tol:
+            return x.reshape(p.shape)
+    raise IterationLimitError(
+        f"iterative scaling did not converge in {max_sweeps} sweeps", residual
+    )
+
+
 def maxent_ipf(
     dist: JointDistribution,
     preserved_marginals: Sequence[VariableSet],
@@ -365,10 +396,12 @@ def maxent_ipf(
 ) -> JointDistribution:
     """Maximum-entropy distribution with the given marginals of ``dist``.
 
-    Starts from the uniform distribution on the full product alphabet
-    and rescales toward each preserved marginal in the listed order
-    until every marginal matches within ``tol`` (checked after each full
-    sweep).  The preserved sets must jointly cover all variables.
+    Iterative proportional fitting by :func:`_maxent`: it starts uniform
+    on the cells of the product alphabet that the null-cell search
+    leaves, and rescales toward each preserved marginal in the listed
+    order until every marginal matches within ``tol`` (checked after
+    each full sweep).  The preserved sets must jointly cover all
+    variables.
 
     Raises :class:`~cipid.errors.IterationLimitError` with the residual
     if ``max_sweeps`` sweeps do not reach tolerance.
@@ -391,31 +424,9 @@ def maxent_ipf(
             f"preserved marginals must cover every variable; missing {missing}"
         )
 
-    p = _table(dist, range(dist.n_vars))
-    x = np.full(p.size, 1.0 / p.size)
-    plans = [
-        (_cell_map(p.shape, vs.indices), _table(dist, vs.indices).ravel())
-        for vs in preserved_marginals
-    ]
-    x[_null_cells(p.ravel(), plans)] = 0.0
-
-    for sweep in range(max_sweeps):
-        for mapping, tvec in plans:
-            cur = np.bincount(mapping, weights=x, minlength=tvec.size)
-            factor = np.divide(tvec, cur, out=np.zeros_like(tvec), where=cur > 0.0)
-            x *= factor[mapping]
-        residual = max(
-            float(np.max(np.abs(np.bincount(mapping, weights=x, minlength=tvec.size) - tvec)))
-            for mapping, tvec in plans
-        )
-        if residual < tol:
-            break
-    else:
-        raise IterationLimitError(
-            f"iterative scaling did not converge in {max_sweeps} sweeps", residual
-        )
-
-    return _from_table(dist, range(dist.n_vars), x.reshape(p.shape))
+    every = range(dist.n_vars)
+    marginals = [(vs.indices, _table(dist, vs.indices)) for vs in preserved_marginals]
+    return _from_table(dist, every, _maxent(_table(dist, every), marginals, tol, max_sweeps))
 
 
 # ---------------------------------------------------------------------------
@@ -426,54 +437,39 @@ def maxent_ipf(
 def dep_synergy(dist: JointDistribution, target: VariableSet) -> PidResult:
     """Synergy from dependency constraints, for exactly two predictors.
 
-    Compares the true joint information against the larger of two
-    reduced models: the conditional-independence surrogate q and the
-    maximum-entropy distribution r that keeps each predictor-target
-    pair and the predictor-predictor marginal.  Entries:
+    Compares the true joint information against two reduced models: the
+    conditional-independence surrogate q and the maximum-entropy
+    distribution r that keeps each predictor-target pair and the
+    predictor-predictor marginal.  Both keep every (Y_i, T) marginal of
+    p, q exactly and r to the fit's tolerance, so the least
+    I(Y_i; T | Y_other) over the two models is min(I_q, I_r) minus
+    I(Y_other; T): the atoms are the inclusion-exclusion atoms of the
+    union information min(I_q, I_r).  Entries:
 
     - ``S``: I_p(Y;T) minus min(I_q(Y;T), I_r(Y;T))
-    - ``U1``/``U2``: min over the two models of I(Y_i; T | Y_other)
+    - ``U1``/``U2``: min(I_q, I_r) minus I(Y_other;T)
     - ``I_q``/``I_r``: the two reduced joint informations
     """
-    src = _source_variables(dist, target)
-    if len(src) != 2:
-        raise ArgumentError(
-            f"dependency synergy is defined for exactly two predictors, found {len(src)}"
-        )
+    src, i1, i2, whole = _two_predictor_informations(dist, target, "dependency synergy")
     y1, y2 = src
-
-    part = CiPartition((VariableSet.of(y1), VariableSet.of(y2)), (0, 1))
-    q = build_q(dist, target, part)
-
-    r = maxent_ipf(
-        dist,
-        [
-            VariableSet(tuple((y1,) + target.indices)),
-            VariableSet(tuple((y2,) + target.indices)),
-            VariableSet((y1, y2)),
-        ],
-    )
+    t = target.indices
+    q = build_q(dist, target, CiPartition((VariableSet.of(y1), VariableSet.of(y2)), (0, 1)))
+    r = maxent_ipf(dist, [VariableSet((y1,) + t), VariableSet((y2,) + t), VariableSet((y1, y2))])
 
     # q and r are over the variables of dist, in dist order, so dist's
-    # indices address them directly.
-    t = target.indices
-
-    def cond_info(d, keep, given):
-        return _mi_lenient(d, sorted((keep, given)), t) - _mi_lenient(d, [given], t)
-
-    i_p = _mi_lenient(dist, src, t)
+    # indices address them directly
     i_q = _mi_lenient(q, src, t)
     i_r = _mi_lenient(r, src, t)
-
-    s = _clamp_nonneg(i_p - min(i_q, i_r), "synergy")
-
-    u1 = _clamp_nonneg(
-        min(cond_info(q, y1, y2), cond_info(r, y1, y2)), "unique information"
-    )
-    u2 = _clamp_nonneg(
-        min(cond_info(q, y2, y1), cond_info(r, y2, y1)), "unique information"
-    )
-    return PidResult({"S": s, "U1": u1, "U2": u2, "I_q": i_q, "I_r": i_r})
+    least = min(i_q, i_r)
+    atoms = _iep_atoms(i1, i2, whole, i1 + i2 - least)
+    return PidResult({
+        # the atom S equals this, but summing the atoms can round it an ulp away
+        "S": _clamp_nonneg(whole - least, "synergy"),
+        "U1": _clamp_nonneg(atoms["U1"], "unique information"),
+        "U2": _clamp_nonneg(atoms["U2"], "unique information"),
+        "I_q": i_q,
+        "I_r": i_r,
+    })
 
 
 # ---------------------------------------------------------------------------

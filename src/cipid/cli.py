@@ -43,6 +43,7 @@ from .errors import (
     ConsistencyError,
     DomainError,
     ParseError,
+    PidError,
     SolverError,
     UnsupportedError,
 )
@@ -50,8 +51,6 @@ from .sources import SourceCollection
 
 _USAGE_ERRORS = (ArgumentError, ParseError, UnsupportedError, DomainError)
 _SOLVER_ERRORS = (SolverError, ConsistencyError)
-
-_SWEEP_FAMILIES = ("ADAPTED_XOR", "ADAPTED_XOR_V2", "ADAPTED_REDUCED_OR")
 
 
 class _Ctx:
@@ -64,11 +63,20 @@ class _Ctx:
         self._values: dict[str, object] = {}
 
     def value(self, name: str) -> object:
-        """The named measure or table evaluation, computed once per context."""
+        """The named measure or table evaluation, computed once per context.
+
+        A failure is kept too, and raised again on every later read.
+        """
         if name not in self._values:
             fn = MEASURES.get(name) or _TABLE_EVALUATIONS[name]
-            self._values[name] = fn(self)
-        return self._values[name]
+            try:
+                self._values[name] = fn(self)
+            except PidError as exc:
+                self._values[name] = exc
+        value = self._values[name]
+        if isinstance(value, PidError):
+            raise value
+        return value
 
 
 def _m_i_total(c: _Ctx) -> float:
@@ -367,10 +375,9 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    if args.family not in _SWEEP_FAMILIES:
-        raise ArgumentError(
-            f"unknown family {args.family!r}; available: {', '.join(_SWEEP_FAMILIES)}"
-        )
+    families = [name for name, entry in CORPUS.items() if entry.parametric]
+    if args.family not in families:
+        raise ArgumentError(f"unknown family {args.family!r}; available: {', '.join(families)}")
     _check_measures(args.measure)
     grid = _parse_grid(args.grid)
 
@@ -378,7 +385,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for r in grid:
         dist = canonical(args.family, r)
-        target = VariableSet.of(dist.index_of("T"))
+        target = _resolve_target(dist, None, f"corpus:{args.family}")
         ctx = _Ctx(dist, target, _resolve_sources(dist, None, target), args.seed)
         rows.append([f"{r:g}"] + [f"{ctx.value(m):.6f}" for m in args.measure])
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

@@ -13,6 +13,7 @@ probability as a decimal or a fraction like ``3/8``.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -357,13 +358,20 @@ def _parse_probability(token: str, line_no: int) -> float:
 def load_distribution(path) -> JointDistribution:
     """Read a distribution from the plain-text table format.
 
-    All symbols are loaded as strings.  Malformed rows, negative or
-    duplicated entries, and a total that misses one by more than 1e-9
-    raise :class:`~cipid.errors.ParseError`; the row problems carry the
-    offending line number.
+    All symbols are loaded as strings.  Bytes that are not UTF-8,
+    malformed rows, negative or duplicated entries, and a total that
+    misses one by more than 1e-9 raise :class:`~cipid.errors.ParseError`;
+    the byte and row problems carry the offending line number.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        lines = fh.readlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise ParseError(f"byte {exc.object[exc.start]:#04x} is not UTF-8", line) from None
+    # universal newlines, as a text-mode open splits the lines
+    lines = io.StringIO(text, newline=None).readlines()
 
     header: list[str] | None = None
     pmf: dict[tuple, float] = {}

@@ -52,11 +52,10 @@ class VariableSet:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        cleaned = tuple(sorted(set(self.indices)))
-        for i in cleaned:
+        for i in self.indices:
             if not isinstance(i, int) or isinstance(i, bool) or i < 0:
                 raise ArgumentError(f"variable index must be a non-negative integer, got {i!r}")
-        object.__setattr__(self, "indices", cleaned)
+        object.__setattr__(self, "indices", tuple(sorted(set(self.indices))))
 
     @classmethod
     def of(cls, *indices: int) -> "VariableSet":

@@ -265,6 +265,28 @@ class TestCouplingMinimization:
             values.append(vk_union_information(d, VariableSet.of(0), coll).value)
         assert values[0] == pytest.approx(values[1], abs=1e-9)
 
+    @pytest.mark.parametrize("seed, want", [
+        (1, 0.4742992046654301),
+        (2, 0.7094589126737934),
+        (3, 0.5978369807900815),
+        (4, 1.0919045439300454),
+        (5, 0.608018230998434),
+        (6, 0.6601940012246584),
+        (7, 0.661046623250333),
+    ])
+    def test_overlapping_sources_pinned(self, seed, want):
+        """Sources {Y1,Y2} and {Y2,Y3} share Y2, so the solve starts from the maximum-entropy fit."""
+        shape = (3, 2, 3, 2)
+        p = np.random.default_rng(seed).dirichlet(np.full(36, 0.4))
+        p[p < 0.01] = 0.0
+        p = (p / p.sum()).reshape(shape)
+        pmf = {c: float(p[c]) for c in itertools.product(*map(range, shape)) if p[c] > 0.0}
+        d = JointDistribution(("T", "Y1", "Y2", "Y3"), pmf,
+                              alphabets=tuple(tuple(range(n)) for n in shape))
+        rep = vk_union_information(d, VariableSet.of(0), SourceCollection.of((1, 2), (2, 3)))
+        assert rep.converged
+        assert rep.value == pytest.approx(want, abs=1e-9)
+
     def test_boom_reaches_one_bit(self):
         d = canonical("BOOM")
         rep = vk_union_information(d, target_of(d), normalize_sources(d, pair_collection(d)))

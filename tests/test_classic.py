@@ -7,6 +7,7 @@ import pytest
 
 from cipid import (
     ArgumentError,
+    IterationLimitError,
     UnsupportedError,
     VariableSet,
     canonical,
@@ -24,10 +25,10 @@ from cipid import (
     wb_union_information,
     wms_synergy,
 )
-from cipid import classic, solve_lp
-from cipid.ci import ci_synergy
+from cipid import axioms, classic, solve_lp
+from cipid.ci import build_q, ci_synergy
 from cipid.distribution import _cell_map, _marginal_pmf, _mi_lenient
-from cipid.sources import SourceCollection
+from cipid.sources import CiPartition, SourceCollection
 
 TABLE_CASES = (
     "XOR", "AND", "COPY", "RDNXOR", "RDNUNQXOR",
@@ -327,6 +328,43 @@ class TestDepSynergy:
         d = canonical("XORLOSES")
         with pytest.raises(ArgumentError):
             dep_synergy(d, target_of(d))
+
+    def test_matches_the_conditional_information_definition(self):
+        """U_i is the least I(Y_i;T|Y_other) over q and r, each computed on its model.
+
+        Every two-predictor draw among the first 80 is checked, zero cells
+        and unconverged fits included.
+        """
+        rng = np.random.default_rng(1)
+        t = VariableSet.of(0)
+        checked = failed = 0
+        for _ in range(80):
+            d = axioms.random_distribution(rng)
+            if d.n_vars != 3:
+                continue
+            q = build_q(d, t, CiPartition((VariableSet.of(1), VariableSet.of(2)), (0, 1)))
+            try:
+                r = maxent_ipf(d, [VariableSet.of(0, 1), VariableSet.of(0, 2), VariableSet.of(1, 2)])
+            except IterationLimitError:
+                with pytest.raises(IterationLimitError):
+                    dep_synergy(d, t)
+                failed += 1
+                continue
+
+            def cond(y, other):
+                return min(
+                    _mi_lenient(m, sorted((y, other)), (0,)) - _mi_lenient(m, [other], (0,))
+                    for m in (q, r)
+                )
+
+            i_q, i_r = _mi_lenient(q, [1, 2], (0,)), _mi_lenient(r, [1, 2], (0,))
+            res = dep_synergy(d, t)
+            assert (res["I_q"], res["I_r"]) == (i_q, i_r)
+            assert res["S"] == max(_mi_lenient(d, [1, 2], (0,)) - min(i_q, i_r), 0.0)
+            assert res["U1"] == pytest.approx(max(cond(1, 2), 0.0), abs=1e-9)
+            assert res["U2"] == pytest.approx(max(cond(2, 1), 0.0), abs=1e-9)
+            checked += 1
+        assert checked >= 30 and failed >= 1
 
 
 class TestIepBookkeeping:

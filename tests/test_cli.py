@@ -172,6 +172,14 @@ class TestUsageErrors:
         assert out == ""
         assert "line 3" in err
 
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.dist"
+        path.write_bytes(b"T Y1 p\n0 0 0.5\n\xff\xfe 1 0.5\n")
+        code, out, err = run(capsys, "measure", "--dist", str(path), "--measure", "i_total")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 3:")
+
     def test_unknown_target_variable(self, capsys):
         code, _, err = run(
             capsys, "measure", "--dist", "corpus:XOR", "--target", "Q",
@@ -185,7 +193,9 @@ class TestUsageErrors:
             "--measure", "s_ci", "--out", str(tmp_path / "o.csv"),
         )
         assert code == 2
-        assert "unknown family" in err
+        assert err.endswith(
+            "unknown family 'NOPE'; available: ADAPTED_REDUCED_OR, ADAPTED_XOR, ADAPTED_XOR_V2\n"
+        )
 
     def test_bad_grid(self, capsys, tmp_path):
         for grid in ("", "0,two", "0:1:1", "0,1.5"):
@@ -307,6 +317,15 @@ class TestReproduce:
             if label.startswith("atom_") or label == "i_cap_d"
         ]
         assert out.count("iteration cap") == len(failed)
+
+    def test_a_failed_measure_is_solved_once_per_input(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            cli, "degradation_redundancy", lambda *a, **k: calls.append(1) or unconverged_redundancy(*a, **k)
+        )
+        run(capsys, "reproduce", "worked-examples")
+        # T-equals-Y1, COPY, BOOM and TWEAKED_COPY each solve once
+        assert len(calls) == 4
 
     def test_worked_examples_all_ok(self, capsys):
         code, out, _ = run(capsys, "reproduce", "worked-examples")

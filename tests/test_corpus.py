@@ -179,6 +179,19 @@ T Y p
         with pytest.raises(ParseError, match="line 3"):
             load_distribution(path)
 
+    def test_bytes_that_are_not_utf8_carry_line_number(self, tmp_path):
+        path = tmp_path / "dist.txt"
+        path.write_bytes(b"T Y1 p\n0 0 0.5\n\xff\xfe 1 0.5\n")
+        with pytest.raises(ParseError, match="line 3"):
+            load_distribution(path)
+
+    def test_any_newline_and_a_byte_order_mark_are_read(self, tmp_path):
+        path = tmp_path / "dist.txt"
+        path.write_bytes(b"\xef\xbb\xbfT Y p\r\n0 a 0.5\r1 b 0.5\n")
+        d = load_distribution(path)
+        assert d.var_names == ("T", "Y")
+        assert d.prob(("1", "b")) == 0.5
+
     def test_empty_file_rejected(self, tmp_path):
         path = self.write(tmp_path, "\n# nothing here\n")
         with pytest.raises(ParseError):

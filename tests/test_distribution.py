@@ -44,6 +44,10 @@ class TestVariableSet:
         with pytest.raises(ArgumentError):
             VariableSet.of(True)
 
+    def test_rejects_a_non_integer_among_integers(self):
+        with pytest.raises(ArgumentError, match="'a'"):
+            VariableSet(("a", 1))
+
     def test_membership_and_len(self):
         vs = VariableSet.of(3, 1)
         assert 1 in vs and 3 in vs and 2 not in vs
