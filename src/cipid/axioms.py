@@ -77,6 +77,8 @@ def run_axiom_suite(trials: int = 200, seed: int = 0) -> list[PropertyReport]:
     """Run every property ``trials`` times and return the per-property tallies."""
     if trials < 1:
         raise ArgumentError("trials must be at least 1")
+    if seed < 0:
+        raise ArgumentError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
 
     reports = {

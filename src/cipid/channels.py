@@ -34,9 +34,8 @@ from .distribution import (
     _table,
     channel_from,
 )
-from .classic import _maxent
 from .errors import ArgumentError, ConsistencyError, SolverError
-from .simplex import solve_lp
+from .simplex import _relative_interior_point, solve_lp
 from .sources import SourceCollection, normalize_sources
 
 _MARGINAL_TOL = 1e-9
@@ -154,6 +153,8 @@ def degradation_redundancy(
     _check_target(dist, target)
     if restarts < 0:
         raise ArgumentError("restarts must be non-negative")
+    if seed < 0:
+        raise ArgumentError(f"seed must be non-negative, got {seed}")
 
     channels = [channel_from(dist, target, s.members) for s in collection]
     w = channels[0].input_marginal
@@ -351,10 +352,11 @@ def vk_union_information(
     when their Frank-Wolfe gap is within ``tol``; otherwise a log-barrier
     Newton method runs from the start point, in the null space of the
     constraints, for at most ``max_iters`` Newton steps.  The start is
-    the product of the per-source conditionals for disjoint sources and
-    the maximum-entropy fit of the (T, source) marginals for overlapping
-    ones.  Callers should pass a collection that is already normalized;
-    redundant sources only slow the solve down.
+    the product of the per-source conditionals for disjoint sources, and
+    for overlapping ones the point that
+    :func:`~cipid.simplex._relative_interior_point` finds from the true
+    conditional of each target state.  Callers should pass a collection
+    that is already normalized; redundant sources only slow the solve down.
 
     The gap is <grad f(x), x> - min over couplings s of <grad f(x), s>,
     one linear program per target state; by convexity the minimum is at
@@ -400,20 +402,12 @@ def vk_union_information(
     a_mat = np.vstack(rows).astype(float)
     b_mat = np.hstack(rhs)
 
-    # a relative-interior start: the product is one for disjoint sources,
-    # the maximum-entropy fit of the (T, source) marginals otherwise; the
-    # cells where it is positive are the maximal support of the couplings
+    # a relative-interior start, whose positive cells are the maximal
+    # support of the couplings: the product is one for disjoint sources
     if sum(len(s.members) for s in collection) == len(pooled):
         x0 = x_prod
     else:
-        nt = len(t_idx)
-        marginals = [
-            ((*range(nt), *(nt + pooled.index(v) for v in s.members.indices)),
-             _table(dist, t_idx + s.members.indices))
-            for s in collection
-        ]
-        fit = _maxent(_table(dist, t_idx + pooled), marginals, 1e-12, 10_000)
-        x0 = fit.reshape(p_t.size, -1)[live] / w[:, None]
+        x0 = np.array([_relative_interior_point(a_mat, b, x) for b, x in zip(b_mat, x_true)])
     support = x0 > 0.0
 
     def fw_gap(x: np.ndarray) -> float:

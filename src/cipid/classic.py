@@ -39,7 +39,7 @@ from .errors import (
     IterationLimitError,
     UnsupportedError,
 )
-from .simplex import solve_lp
+from .simplex import _relative_interior_point
 from .sources import CiPartition, SourceCollection
 
 
@@ -318,76 +318,6 @@ def delta_i_synergy(dist: JointDistribution, target: VariableSet) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _null_cells(p: np.ndarray, plans: list) -> np.ndarray:
-    """Mask of cells that carry no mass in any distribution with the marginals.
-
-    Cells under a zero marginal target are null outright.  A cell can
-    also be forced to zero by a combination of constraints even though
-    every marginal cell touching it is positive; proportional fitting
-    approaches such zeros only at a polynomial rate, so they are found
-    exactly here instead.  Each round maximizes the summed mass of the
-    remaining candidates over the constraint polytope and drops those
-    that come out above 1e-12; once none does, the rest are null if the
-    optimum is at most 1e-12.  Zeroing them does not change the fit: the
-    maximum-entropy distribution lives on the maximal feasible support.
-    """
-    mask = np.zeros(p.size, dtype=bool)
-    for mapping, tvec in plans:
-        mask |= tvec[mapping] <= 0.0
-
-    candidates = np.flatnonzero(~mask & (p <= 0.0))
-    if not candidates.size:
-        return mask
-
-    rows = [mapping == np.arange(tvec.size)[:, None] for mapping, tvec in plans]
-    a_eq = np.vstack(rows).astype(float)
-    b_eq = np.concatenate([tvec for _, tvec in plans])
-
-    while candidates.size:
-        c = np.zeros(p.size)
-        c[candidates] = 1.0
-        sol = solve_lp(c, a_eq, b_eq, maximize=True)
-        if sol.status != "optimal":
-            break
-        positive = sol.x[candidates] > 1e-12
-        if not positive.any():
-            mask[candidates] = sol.objective <= 1e-12
-            break
-        candidates = candidates[~positive]
-    return mask
-
-
-def _maxent(p: np.ndarray, marginals: list, tol: float, max_sweeps: int) -> np.ndarray:
-    """Maximum-entropy table over the cells of ``p`` with the given marginals.
-
-    Each marginal is a pair (ascending axes of ``p``, its table); ``p``
-    itself serves only the null-cell search.  The fit starts uniform on
-    the cells that :func:`_null_cells` leaves and rescales toward each
-    marginal in the listed order until every marginal matches within
-    ``tol`` (checked after each full sweep).  Raises
-    :class:`~cipid.errors.IterationLimitError` with the residual if
-    ``max_sweeps`` sweeps do not reach tolerance.
-    """
-    x = np.full(p.size, 1.0 / p.size)
-    plans = [(_cell_map(p.shape, axes), table.ravel()) for axes, table in marginals]
-    x[_null_cells(p.ravel(), plans)] = 0.0
-
-    for _ in range(max_sweeps):
-        for mapping, tvec in plans:
-            cur = np.bincount(mapping, weights=x, minlength=tvec.size)
-            factor = np.divide(tvec, cur, out=np.zeros_like(tvec), where=cur > 0.0)
-            x *= factor[mapping]
-        residual = max(
-            float(np.max(np.abs(np.bincount(mapping, weights=x, minlength=tvec.size) - tvec)))
-            for mapping, tvec in plans
-        )
-        if residual < tol:
-            return x.reshape(p.shape)
-    raise IterationLimitError(
-        f"iterative scaling did not converge in {max_sweeps} sweeps", residual
-    )
-
-
 def maxent_ipf(
     dist: JointDistribution,
     preserved_marginals: Sequence[VariableSet],
@@ -396,12 +326,15 @@ def maxent_ipf(
 ) -> JointDistribution:
     """Maximum-entropy distribution with the given marginals of ``dist``.
 
-    Iterative proportional fitting by :func:`_maxent`: it starts uniform
-    on the cells of the product alphabet that the null-cell search
-    leaves, and rescales toward each preserved marginal in the listed
-    order until every marginal matches within ``tol`` (checked after
-    each full sweep).  The preserved sets must jointly cover all
-    variables.
+    Iterative proportional fitting: it starts uniform on the maximal
+    support of the distributions with these marginals, and rescales
+    toward each preserved marginal in the listed order until every
+    marginal matches within ``tol`` (checked after each full sweep).
+    The preserved sets must jointly cover all variables.  A combination
+    of marginals can force a cell to zero although every marginal cell
+    touching it is positive, and fitting approaches such a zero only at
+    a polynomial rate, so the support comes from LP rounds
+    (:func:`~cipid.simplex._relative_interior_point` from p).
 
     Raises :class:`~cipid.errors.IterationLimitError` with the residual
     if ``max_sweeps`` sweeps do not reach tolerance.
@@ -425,8 +358,32 @@ def maxent_ipf(
         )
 
     every = range(dist.n_vars)
-    marginals = [(vs.indices, _table(dist, vs.indices)) for vs in preserved_marginals]
-    return _from_table(dist, every, _maxent(_table(dist, every), marginals, tol, max_sweeps))
+    p = _table(dist, every)
+    plans = [(_cell_map(p.shape, vs.indices), _table(dist, vs.indices).ravel())
+             for vs in preserved_marginals]
+    # the cells under no zero marginal cell, with one constraint row per
+    # positive marginal cell
+    live = np.logical_and.reduce([tvec[mapping] > 0.0 for mapping, tvec in plans])
+    a_eq = np.vstack([mapping[live] == np.flatnonzero(tvec)[:, None] for mapping, tvec in plans])
+    b_eq = np.concatenate([tvec[tvec > 0.0] for _, tvec in plans])
+    on = np.zeros(p.size, dtype=bool)
+    on[live] = _relative_interior_point(a_eq, b_eq, p.ravel()[live]) > 0.0
+    x = np.where(on, 1.0 / p.size, 0.0)
+
+    for _ in range(max_sweeps):
+        for mapping, tvec in plans:
+            cur = np.bincount(mapping, weights=x, minlength=tvec.size)
+            factor = np.divide(tvec, cur, out=np.zeros_like(tvec), where=cur > 0.0)
+            x *= factor[mapping]
+        residual = max(
+            float(np.max(np.abs(np.bincount(mapping, weights=x, minlength=tvec.size) - tvec)))
+            for mapping, tvec in plans
+        )
+        if residual < tol:
+            return _from_table(dist, every, x.reshape(p.shape))
+    raise IterationLimitError(
+        f"iterative scaling did not converge in {max_sweeps} sweeps", residual
+    )
 
 
 # ---------------------------------------------------------------------------

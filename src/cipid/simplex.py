@@ -4,11 +4,13 @@ Solves min (or max) of c.x subject to A x = b and x >= 0.  Bland's rule
 is used for both the entering and the leaving choice, which rules out
 cycling on the degenerate programs that show up in channel-ordering
 feasibility tests.  The tableau is a dense numpy array.  Sizes range
-from a few rows for a garbling test to 272 x 256 for ``i_cap_d`` and
-320 x 1024 for the null-cell search of ``s_dep`` on RDNUNQXOR.  The
+from a few rows for a garbling test to 272 x 256 for ``i_cap_d``.  The
 constraint matrices of those programs are mostly zeros, so a pivot
 updates only the rows with a nonzero entry in the pivot column; the
 other rows would be left unchanged by the update anyway.
+
+``_relative_interior_point`` finds the maximal support of a polytope in
+a few LPs, for the maximum-entropy fit and the coupling start.
 """
 
 from __future__ import annotations
@@ -162,3 +164,30 @@ def solve_lp(
     x[x < 0.0] = 0.0
     value = float(obj @ x)
     return LpSolution("optimal", x, sense * value)
+
+
+def _relative_interior_point(a_eq, b_eq, x) -> np.ndarray:
+    """A point of {y >= 0 : a_eq y = b_eq} positive on the polytope's maximal support.
+
+    ``x`` is a point of the polytope.  Each round maximizes the summed
+    mass of the coordinates not yet seen positive (in ``x``, or above
+    1e-12 in an earlier round), and the search stops when none comes out
+    above 1e-12: a few LPs instead of one per coordinate.  Returns the
+    mean of ``x`` and the round solutions, with zeros on the coordinates
+    never seen positive, so it is positive exactly on the seen ones.
+    """
+    x = np.asarray(x, dtype=float)
+    points = [x]
+    seen = x > 0.0
+    while not seen.all():
+        sol = solve_lp(~seen, a_eq, b_eq, maximize=True)
+        if sol.status != "optimal":
+            break
+        new = ~seen & (sol.x > 1e-12)
+        if not new.any():
+            break
+        points.append(sol.x)
+        seen |= new
+    point = np.mean(points, axis=0)
+    point[~seen] = 0.0
+    return point

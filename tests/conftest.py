@@ -20,3 +20,28 @@ def boom_redundancy():
         (dist.index_of("Y1"),), (dist.index_of("Y2"),)
     )
     return degradation_redundancy(dist, target, coll, seed=0)
+
+
+# (T, Y1, Y2, Y3) with sources {Y1,Y2},{Y1,Y3},{Y2,Y3}: an IPF fit of the
+# (T, source) marginals stalls at a residual of 2e-6 here, and one cell
+# has weight 2e-7
+TRIANGLE_ROWS = """\
+T Y1 Y2 Y3 p
+0 0 1 0 1640522/10000000
+0 0 2 0 238379/10000000
+1 0 0 1 27045/10000000
+1 0 1 0 2747784/10000000
+1 0 2 1 291007/10000000
+1 1 1 1 2/10000000
+1 1 2 0 958038/10000000
+1 1 2 1 266624/10000000
+1 2 0 0 2820779/10000000
+1 2 0 1 1009820/10000000
+"""
+
+
+@pytest.fixture
+def triangle_file(tmp_path):
+    path = tmp_path / "triangle.dist"
+    path.write_text(TRIANGLE_ROWS)
+    return path

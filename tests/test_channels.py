@@ -1,6 +1,7 @@
 """Degradation order, degradation redundancy, and coupling minimization."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cipid import (
     channel_from,
     degradation_leq,
     degradation_redundancy,
+    load_distribution,
     mutual_information,
     s_d,
     vk_union_information,
@@ -131,6 +133,11 @@ class TestDegradationRedundancy:
         assert two.value == pytest.approx(0.31127812445913283, abs=1e-9)
         assert three.value == pytest.approx(two.value, abs=1e-9)
         assert three.value <= three.certificate + 1e-9
+
+    def test_negative_seed_rejected(self):
+        d = canonical("AND")
+        with pytest.raises(ArgumentError, match="seed must be non-negative, got -1"):
+            degradation_redundancy(d, target_of(d), pair_collection(d), seed=-1)
 
     def test_deterministic_seed(self):
         d = canonical("BOOM")
@@ -275,7 +282,7 @@ class TestCouplingMinimization:
         (7, 0.661046623250333),
     ])
     def test_overlapping_sources_pinned(self, seed, want):
-        """Sources {Y1,Y2} and {Y2,Y3} share Y2, so the solve starts from the maximum-entropy fit."""
+        """Sources {Y1,Y2} and {Y2,Y3} share Y2, so the solve starts from LP rounds."""
         shape = (3, 2, 3, 2)
         p = np.random.default_rng(seed).dirichlet(np.full(36, 0.4))
         p[p < 0.01] = 0.0
@@ -286,6 +293,26 @@ class TestCouplingMinimization:
         rep = vk_union_information(d, VariableSet.of(0), SourceCollection.of((1, 2), (2, 3)))
         assert rep.converged
         assert rep.value == pytest.approx(want, abs=1e-9)
+
+    def test_triangle_sources_where_an_ipf_start_stalled(self, triangle_file):
+        d = load_distribution(triangle_file)
+        rep = vk_union_information(d, d.varset("T"), SourceCollection.of((1, 2), (1, 3), (2, 3)))
+        assert rep.converged
+        assert rep.value == pytest.approx(0.2785755533, abs=1e-9)
+
+    def test_sparse_triangle_collections_converge(self):
+        """Sparse Dirichlet(0.3) pmfs under {Y1,Y2},{Y1,Y3},{Y2,Y3}, whose supports overlap."""
+        rng = np.random.default_rng(7)
+        coll = SourceCollection.of((1, 2), (1, 3), (2, 3))
+        for draw in range(100):
+            shape = tuple(int(k) for k in rng.integers(2, 4, size=4))
+            p = rng.dirichlet(np.full(math.prod(shape), 0.3))
+            p[rng.random(p.size) >= 0.5] = 0.0
+            cells = itertools.product(*map(range, shape))
+            d = JointDistribution(("T", "Y1", "Y2", "Y3"),
+                                  {c: float(v) for c, v in zip(cells, p / p.sum()) if v > 0.0})
+            rep = vk_union_information(d, VariableSet.of(0), coll)
+            assert rep.converged, draw
 
     def test_boom_reaches_one_bit(self):
         d = canonical("BOOM")

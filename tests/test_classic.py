@@ -25,7 +25,7 @@ from cipid import (
     wb_union_information,
     wms_synergy,
 )
-from cipid import axioms, classic, solve_lp
+from cipid import axioms, classic, simplex, solve_lp
 from cipid.ci import build_q, ci_synergy
 from cipid.distribution import _cell_map, _marginal_pmf, _mi_lenient
 from cipid.sources import CiPartition, SourceCollection
@@ -294,12 +294,14 @@ class TestMaxentIpf:
         ]
         solves = []
         monkeypatch.setattr(
-            classic, "solve_lp", lambda *a, **k: solves.append(1) or solve_lp(*a, **k)
+            simplex, "solve_lp", lambda *a, **k: solves.append(1) or solve_lp(*a, **k)
         )
-        mask = classic._null_cells(p, plans)
+        point = simplex._relative_interior_point(a_eq, b_eq, p)
+        mask = point <= 0.0
         assert np.flatnonzero(mask).tolist() == [4, 7, 9, 11]
         assert mask.tolist() == per_cell
         assert len(solves) == 2
+        assert np.max(np.abs(a_eq @ point - b_eq)) <= 1e-12
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_needs_a_positive_tolerance(self, tol):

@@ -54,6 +54,17 @@ class TestMeasure:
         assert code == 0, err
         assert out.startswith("s_d\t")
 
+    def test_triangle_sources_where_an_ipf_start_stalled(self, capsys, triangle_file):
+        """The coupling start was an IPF fit, which exited 3 on this file."""
+        code, out, err = run(
+            capsys, "measure", "--dist", str(triangle_file), "--sources", "Y1,Y2;Y1,Y3;Y2,Y3",
+            "--measure", "i_cup_vk", "--measure", "s_d",
+        )
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "i_cup_vk\t0.278576"
+        assert lines[1].startswith("s_d\t")
+
     def test_file_with_a_byte_order_mark_finds_its_default_target(self, capsys, tmp_path):
         path = tmp_path / "xor.dist"
         path.write_text("T Y1 Y2 p\n0 0 0 1/4\n1 0 1 1/4\n1 1 0 1/4\n0 1 1 1/4\n",
@@ -410,6 +421,17 @@ class TestAxioms:
         _, first, _ = run(capsys, "axioms", "--trials", "2", "--seed", "3")
         _, second, _ = run(capsys, "axioms", "--trials", "2", "--seed", "3")
         assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--dist", "corpus:AND", "--measure", "i_cap_d", "--seed", "-1"],
+    ["reproduce", "worked-examples", "--seed", "-1"],
+    ["axioms", "--trials", "2", "--seed", "-1"],
+])
+def test_negative_seed_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: seed must be non-negative, got -1\n"
 
 
 def test_version_flag(capsys):

@@ -11,9 +11,11 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cipid import (
+    ArgumentError,
     DomainError,
     JointDistribution,
     SourceCollection,
@@ -32,6 +34,7 @@ from cipid import (
     save_distribution,
 )
 from cipid import conditional_mutual_information
+from cipid.axioms import run_axiom_suite
 
 
 @st.composite
@@ -167,3 +170,8 @@ def test_build_q_preserves_block_joints(d):
             got, want = marginalize(q, keep), marginalize(d, keep)
             for outcome, p_want in want.pmf.items():
                 assert abs(got.prob(outcome) - p_want) <= 1e-9
+
+
+def test_axiom_suite_rejects_a_negative_seed():
+    with pytest.raises(ArgumentError, match="seed must be non-negative, got -1"):
+        run_axiom_suite(trials=1, seed=-1)
