@@ -35,7 +35,7 @@ from .distribution import (
     channel_from,
 )
 from .errors import ArgumentError, ConsistencyError, SolverError
-from .simplex import _relative_interior_point, solve_lp
+from .simplex import _Polytope, _relative_interior_point, solve_lp
 from .sources import SourceCollection, normalize_sources
 
 _MARGINAL_TOL = 1e-9
@@ -173,6 +173,7 @@ def degradation_redundancy(
         block[:, offsets[i] : offsets[i + 1]] -= np.kron(mats[i], eye)
     a_eq = np.vstack([coupling.reshape(-1, nv), np.kron(np.eye(sum(widths)), np.ones((1, n_out)))])
     b_eq = np.concatenate([np.zeros(len(a_eq) - sum(widths)), np.ones(sum(widths))])
+    polytope = _Polytope(a_eq, b_eq)
 
     def kq_of(x: np.ndarray) -> np.ndarray:
         m1 = x[offsets[0] : offsets[1]].reshape(widths[0], n_out)
@@ -191,7 +192,7 @@ def degradation_redundancy(
         return c
 
     def vertex_toward(c: np.ndarray) -> np.ndarray:
-        sol = solve_lp(c, a_eq, b_eq, maximize=True)
+        sol = polytope.solve(c, maximize=True)
         if sol.status != "optimal":
             raise SolverError(f"vertex search came back {sol.status}")
         return sol.x
@@ -409,6 +410,8 @@ def vk_union_information(
     else:
         x0 = np.array([_relative_interior_point(a_mat, b, x) for b, x in zip(b_mat, x_true)])
     support = x0 > 0.0
+    # the couplings of each target state, prepared once for every gap
+    polytopes = [_Polytope(a_mat[:, cells], b) for cells, b in zip(support, b_mat)]
 
     def fw_gap(x: np.ndarray) -> float:
         """Frank-Wolfe gap f(x) - min over couplings s of <grad f(x), s>.
@@ -425,9 +428,8 @@ def vk_union_information(
             return math.inf
         g = w[:, None] * np.log2(np.where(on, x, 1.0) / np.where(on, r, 1.0))
         low = 0.0
-        for t in range(w.size):
-            cells = support[t]
-            sol = solve_lp(g[t, cells], a_mat[:, cells], b_mat[t])
+        for t, polytope in enumerate(polytopes):
+            sol = polytope.solve(g[t, support[t]])
             if sol.status != "optimal":
                 raise SolverError(f"certificate LP came back {sol.status}")
             low += sol.objective

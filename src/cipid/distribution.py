@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -104,9 +105,14 @@ class JointDistribution:
         inferred from the support.  When given, every outcome symbol
         must belong to the stated alphabet; this lets a distribution
         carry alphabet letters that happen to have zero probability.
+
+    The support is stored as a read-only matrix of alphabet positions,
+    one row per outcome, with the masses in construction order.  The
+    :attr:`pmf` mapping is rebuilt from them on every access, with
+    outcomes spelled in alphabet letters, so bind it once before a loop.
     """
 
-    __slots__ = ("var_names", "alphabets", "pmf", "_index")
+    __slots__ = ("var_names", "alphabets", "_codes", "_p", "_index")
 
     def __init__(
         self,
@@ -141,10 +147,10 @@ class JointDistribution:
         if not abs(total - 1.0) <= TOL:
             raise ConsistencyError(f"probabilities sum to {total!r}, not 1 within 1e-9")
 
+        # the support column by column, as alphabet positions
+        cols = list(zip(*cleaned))
         if alphabets is None:
-            alpha = tuple(
-                _sorted_symbols({key[i] for key in cleaned}) for i in range(n)
-            )
+            alpha = tuple(_sorted_symbols(set(col)) for col in cols)
         else:
             if len(alphabets) != n:
                 raise ArgumentError("need one alphabet per variable")
@@ -152,16 +158,25 @@ class JointDistribution:
             for a, name in zip(alpha, names):
                 if len(set(a)) != len(a) or not a:
                     raise ArgumentError(f"alphabet of {name} must be non-empty and duplicate-free")
-            for key in cleaned:
-                for i, s in enumerate(key):
-                    if s not in alpha[i]:
-                        raise ArgumentError(
-                            f"symbol {s!r} of outcome {key!r} is not in the alphabet of {names[i]}"
-                        )
+
+        pos = [{s: k for k, s in enumerate(a)} for a in alpha]
+        codes = np.empty((len(cleaned), n), dtype=np.min_scalar_type(max(map(len, alpha)) - 1))
+        try:
+            for i, (at, col) in enumerate(zip(pos, cols)):
+                codes[:, i] = np.fromiter(map(at.__getitem__, col), codes.dtype, len(col))
+        except KeyError:
+            key, i = next((k, i) for k in cleaned for i, at in enumerate(pos) if k[i] not in at)
+            raise ArgumentError(
+                f"symbol {key[i]!r} of outcome {key!r} is not in the alphabet of {names[i]}"
+            ) from None
+        codes.setflags(write=False)
+        masses = np.fromiter(cleaned.values(), float, len(cleaned))
+        masses.setflags(write=False)
 
         object.__setattr__(self, "var_names", names)
         object.__setattr__(self, "alphabets", alpha)
-        object.__setattr__(self, "pmf", MappingProxyType(cleaned))
+        object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_p", masses)
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
 
     def __setattr__(self, name, value):
@@ -180,7 +195,16 @@ class JointDistribution:
         return hash((self.var_names, self.alphabets, frozenset(self.pmf.items())))
 
     def __repr__(self) -> str:
-        return f"JointDistribution(vars={self.var_names}, support={len(self.pmf)})"
+        return f"JointDistribution(vars={self.var_names}, support={len(self._p)})"
+
+    @property
+    def pmf(self) -> Mapping[Outcome, float]:
+        """Read-only mapping from outcome tuples to masses, in construction order.
+
+        Built afresh on each access; bind it once before a loop.
+        """
+        cols = (map(a.__getitem__, c) for a, c in zip(self.alphabets, self._codes.T.tolist()))
+        return MappingProxyType(dict(zip(zip(*cols), self._p.tolist())))
 
     @property
     def n_vars(self) -> int:
@@ -197,7 +221,15 @@ class JointDistribution:
         return VariableSet(tuple(self.index_of(n) for n in names))
 
     def prob(self, outcome: Outcome) -> float:
-        return self.pmf.get(tuple(outcome), 0.0)
+        key = tuple(outcome)
+        if len(key) != self.n_vars:
+            return 0.0
+        try:
+            row = [a.index(s) for a, s in zip(self.alphabets, key)]
+        except ValueError:
+            return 0.0
+        hit = np.flatnonzero((self._codes == row).all(axis=1))
+        return float(self._p[hit[0]]) if hit.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +260,22 @@ def _source_variables(dist: JointDistribution, target: VariableSet) -> list[int]
     return out
 
 
-def _marginal_pmf(dist: JointDistribution, indices: Sequence[int]) -> dict[Outcome, float]:
-    idx = tuple(indices)
-    out: dict[Outcome, float] = {}
-    for key, p in dist.pmf.items():
-        sub = tuple(key[i] for i in idx)
-        out[sub] = out.get(sub, 0.0) + p
+def _marginal_sums(dist: JointDistribution, indices: Sequence[int]) -> dict[tuple, float]:
+    """Mass per row of alphabet positions over ``indices``, summed in support order."""
+    idx = list(indices)
+    rows = zip(*dist._codes[:, idx].T.tolist()) if idx else repeat(())
+    out: dict[tuple, float] = {}
+    for row, p in zip(rows, dist._p.tolist()):
+        out[row] = out.get(row, 0.0) + p
     return out
+
+
+def _marginal_pmf(dist: JointDistribution, indices: Sequence[int]) -> dict[Outcome, float]:
+    alph = [dist.alphabets[i] for i in indices]
+    return {
+        tuple(a[k] for a, k in zip(alph, row)): p
+        for row, p in _marginal_sums(dist, indices).items()
+    }
 
 
 # Cap on the cells of a dense table (the product of its axes' alphabet
@@ -263,11 +304,9 @@ def _table(dist: JointDistribution, indices: Sequence[int]) -> np.ndarray:
     Mass is added in pmf order, so every cell is summed exactly as
     :func:`_marginal_pmf` sums it.
     """
-    idx = tuple(indices)
+    idx = list(indices)
     out = np.zeros(_dense_shape(dist, idx))
-    pos = [{s: k for k, s in enumerate(dist.alphabets[i])} for i in idx]
-    cells = np.array([[m[key[i]] for m, i in zip(pos, idx)] for key in dist.pmf], dtype=np.intp)
-    np.add.at(out, tuple(cells.T), np.fromiter(dist.pmf.values(), float))
+    np.add.at(out, tuple(dist._codes[:, idx].T), dist._p)
     return out
 
 
@@ -316,7 +355,7 @@ def _entropy_of(dist: JointDistribution, indices: Sequence[int]) -> float:
     """Entropy of a (possibly empty) group of variables; H(nothing) = 0."""
     if not indices:
         return 0.0
-    return _bits(np.fromiter(_marginal_pmf(dist, indices).values(), float))
+    return _bits(np.fromiter(_marginal_sums(dist, indices).values(), float))
 
 
 def _mi_lenient(dist: JointDistribution, a: Sequence[int], b: Sequence[int]) -> float:

@@ -2,6 +2,7 @@ import pytest
 
 from cipid import VariableSet, canonical
 from cipid.axioms import run_axiom_suite
+from cipid.simplex import _Polytope
 from cipid.channels import degradation_redundancy
 from cipid.sources import SourceCollection
 
@@ -10,6 +11,25 @@ from cipid.sources import SourceCollection
 def axiom_reports():
     """Full randomized property run, shared by every test that needs it."""
     return run_axiom_suite(trials=200, seed=0)
+
+
+@pytest.fixture
+def lp_counts(monkeypatch):
+    """Counts of polytopes prepared (phase 1) and objectives solved (phase 2)."""
+    counts = {"prepared": [], "solved": 0}
+    prepare, solve = _Polytope.__init__, _Polytope.solve
+
+    def counted_prepare(self, a_eq, b_eq):
+        counts["prepared"].append((a_eq, b_eq, self))
+        prepare(self, a_eq, b_eq)
+
+    def counted_solve(self, *args, **kwargs):
+        counts["solved"] += 1
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Polytope, "__init__", counted_prepare)
+    monkeypatch.setattr(_Polytope, "solve", counted_solve)
+    return counts
 
 
 @pytest.fixture(scope="session")

@@ -160,20 +160,26 @@ class TestDegradationRedundancy:
         ("AND", 69, "0x1.3ebfb1520c7c6p-2"),
         ("BOOM", 88, "0x1.493da4a621201p-2"),
     ])
-    def test_each_climb_step_is_solved_once(self, monkeypatch, name, lps, value):
-        """65 start LPs, then one LP per distinct climb vertex (129 and 137 re-solving)."""
-        calls = []
-        real = channels.solve_lp
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(channels, "solve_lp", counted)
+    def test_each_climb_step_is_solved_once(self, lp_counts, name, lps, value):
+        """65 start LPs, then one LP per distinct climb vertex (129 and 137
+        re-solving), all on one polytope whose phase 1 runs once."""
         d = canonical(name)
         rep = degradation_redundancy(d, target_of(d), pair_collection(d))
-        assert len(calls) == lps
+        assert len(lp_counts["prepared"]) == 1
+        assert lp_counts["solved"] == lps
         assert rep.value.hex() == value
+
+    @pytest.mark.parametrize("name, rows, rank", [
+        ("RDNUNQXOR", 272, 106), ("BOOM", 15, 12), ("AND", 8, 6),
+    ])
+    def test_phase_two_carries_the_rank(self, lp_counts, name, rows, rank):
+        """The dependent rows of the garbling polytope are dropped once, in phase 1."""
+        d = canonical(name)
+        degradation_redundancy(d, target_of(d), pair_collection(d), restarts=0)
+        [(a_eq, _, polytope)] = lp_counts["prepared"]
+        assert a_eq.shape[0] == rows
+        assert np.linalg.matrix_rank(a_eq) == rank
+        assert polytope._tab.shape[0] == len(polytope._basis) == rank
 
     def test_ordered_sources_read_off_the_weaker_one(self):
         """When one channel is a garbling of the other, the redundancy is

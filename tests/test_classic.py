@@ -275,7 +275,7 @@ class TestMaxentIpf:
         with pytest.raises(ArgumentError, match="max_sweeps"):
             maxent_ipf(d, [d.varset("T", "Y1", "Y2")], max_sweeps=0)
 
-    def test_null_cells_match_the_per_cell_search_in_fewer_lps(self, monkeypatch):
+    def test_null_cells_match_the_per_cell_search_in_fewer_lps(self, lp_counts):
         # cells 4, 7, 9 and 11 are forced to zero by the pairwise marginals,
         # although every marginal cell touching them is positive; 6 is not
         support = [[[1, 1, 1], [1, 0, 1], [0, 0, 1]], [[0, 1, 0], [1, 1, 1], [1, 1, 1]]]
@@ -292,15 +292,14 @@ class TestMaxentIpf:
             solve_lp(np.eye(18)[i], a_eq, b_eq, maximize=True).objective <= 1e-12
             for i in range(18)
         ]
-        solves = []
-        monkeypatch.setattr(
-            simplex, "solve_lp", lambda *a, **k: solves.append(1) or solve_lp(*a, **k)
-        )
+        lp_counts["prepared"].clear()
+        lp_counts["solved"] = 0
         point = simplex._relative_interior_point(a_eq, b_eq, p)
         mask = point <= 0.0
         assert np.flatnonzero(mask).tolist() == [4, 7, 9, 11]
         assert mask.tolist() == per_cell
-        assert len(solves) == 2
+        assert len(lp_counts["prepared"]) == 1
+        assert lp_counts["solved"] == 2
         assert np.max(np.abs(a_eq @ point - b_eq)) <= 1e-12
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])

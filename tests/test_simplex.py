@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cipid import ArgumentError, solve_lp
-from cipid.simplex import LpSolution
+from cipid.simplex import LpSolution, _Polytope
 
 
 def brute_force_min(c, a_eq, b_eq):
@@ -209,6 +209,52 @@ def test_random_programs_match_highs(seed):
     assert np.min(sol.x) >= 0.0
     assert np.max(np.abs(a @ sol.x - b)) <= 1e-8
     assert sol.objective == pytest.approx(want.fun, abs=1e-7)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_prepared_polytope_solves_in_any_order(seed):
+    """Three objectives on one polytope, in two orders, against HiGHS."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(seed)
+    c, a, b = _random_feasible_lp(rng, degenerate=seed % 2 == 1)
+    costs = [c, rng.normal(size=c.size), rng.normal(size=c.size)]
+    polytope = _Polytope(a, b)
+    forward = [polytope.solve(cost) for cost in costs]
+    backward = [polytope.solve(cost) for cost in reversed(costs)][::-1]
+    for cost, one, other in zip(costs, forward, backward):
+        assert np.array_equal(one.x, other.x) and one.objective == other.objective
+        fresh = solve_lp(cost, a, b)
+        assert np.array_equal(one.x, fresh.x) and one.objective == fresh.objective
+        want = optimize.linprog(cost, A_eq=a, b_eq=b, bounds=(0.0, None), method="highs")
+        assert one.status == "optimal" and want.status == 0
+        assert np.max(np.abs(a @ one.x - b)) <= 1e-8
+        assert one.objective == pytest.approx(want.fun, abs=1e-7)
+
+
+def test_empty_polytope_is_infeasible_for_every_objective():
+    polytope = _Polytope(np.array([[1.0], [1.0]]), np.array([1.0, 2.0]))
+    for c, maximize in (([1.0], False), ([-1.0], False), ([1.0], True), ([0.0], True)):
+        sol = polytope.solve(np.array(c), maximize=maximize)
+        assert sol.status == "infeasible" and sol.x is None and sol.objective is None
+
+
+def test_polytope_without_rows_gives_zeros():
+    polytope = _Polytope(np.zeros((0, 3)), np.zeros(0))
+    for c in ([1.0, 2.0, 3.0], [-1.0, 0.0, 1.0]):
+        sol = polytope.solve(np.array(c), maximize=True)
+        assert sol.status == "optimal" and sol.objective == 0.0
+        assert np.array_equal(sol.x, np.zeros(3))
+
+
+def test_polytope_checks_the_objective_at_solve():
+    polytope = _Polytope(np.array([[1.0, 1.0]]), np.array([1.0]))
+    with pytest.raises(ArgumentError):
+        polytope.solve(np.array([np.nan, 1.0]))
+    with pytest.raises(ArgumentError):
+        polytope.solve(np.array([1.0, 1.0, 1.0]))
+    with pytest.raises(ArgumentError):
+        _Polytope(np.array([[1.0, np.inf]]), np.array([1.0]))
+    assert polytope.solve(np.array([2.0, 1.0])).objective == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solution_container():
