@@ -39,6 +39,10 @@ from .simplex import _Polytope, _relative_interior_point, solve_lp
 from .sources import SourceCollection, normalize_sources
 
 _MARGINAL_TOL = 1e-9
+_GARBLING_TOL = 1e-8
+_CLIMB_STEPS = 200
+_GAP_TOL = 1e-9
+_NEWTON_STEPS = 5000
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ class OptimizationReport:
     LP, not up to rounding.  ``converged`` reports
     whether the solver stopped by its own criterion rather than an
     iteration cap; for the union minimization it means the gap is
-    within the solver's tolerance.
+    within 1e-9.
     """
 
     value: float
@@ -101,14 +105,12 @@ def _check_compatible(k: Channel, kp: Channel) -> None:
         raise ArgumentError(f"input marginals differ by {diff:.3e}, beyond 1e-9")
 
 
-def degradation_leq(
-    k: Channel, kp: Channel, tol: float = 1e-8
-) -> tuple[bool, DegradationWitness | None]:
+def degradation_leq(k: Channel, kp: Channel) -> tuple[bool, DegradationWitness | None]:
     """Test whether ``k`` is a garbled version of ``kp``.
 
     Feasibility of k = kp @ M over row-stochastic M, decided by linear
     programming.  Returns the truth value and, when true, a witness
-    with the garbling matrix and its residual.
+    with the garbling matrix and its residual, which is at most 1e-8.
     """
     _check_compatible(k, kp)
     ny = len(k.output_alphabet)
@@ -121,7 +123,7 @@ def degradation_leq(
         return False, None
     m = sol.x.reshape(nyp, ny)
     residual = float(np.max(np.abs(kp.matrix @ m - k.matrix)))
-    if residual > tol:
+    if residual > _GARBLING_TOL:
         return False, None
     return True, DegradationWitness(m, residual)
 
@@ -132,7 +134,6 @@ def degradation_redundancy(
     collection: SourceCollection,
     restarts: int = 64,
     seed: int = 0,
-    max_iters: int = 200,
 ) -> OptimizationReport:
     """Largest dependence on the target shared below every source channel.
 
@@ -141,7 +142,9 @@ def degradation_redundancy(
     so every climb moves between vertices: linearize at the current
     point, solve for the best vertex, jump if it improves.  Starts once
     from the uniform channel and ``restarts`` more times from random
-    vertices, keeping the best value (first found wins ties).  The
+    vertices, keeping the best value (first found wins ties).  Each
+    climb takes at most 200 steps; the report is converged when the best
+    climb stopped before that.  The
     output alphabet of Q has one letter per target state, which can miss
     the supremum even for a lone source: with mass 1/3 at (T, Y1, Y2) =
     (0, 0, 0), (1, 1, 1) and 1/6 at (0, 2, 2), (1, 2, 2), {Y1} gives
@@ -217,7 +220,7 @@ def degradation_redundancy(
     best_converged = False
     for x in starts:
         converged = False
-        for _ in range(max_iters):
+        for _ in range(_CLIMB_STEPS):
             s = step(x)
             if objective(s) > objective(x) + 1e-12:
                 x = s
@@ -254,23 +257,21 @@ def _barrier_newton(
     support: np.ndarray,
     x0: np.ndarray,
     gap0: float,
-    tol: float,
-    max_iters: int,
     fw_gap,
 ) -> tuple[np.ndarray, float]:
     """Minimize I(A;T) over the couplings by a log-barrier Newton method.
 
     Damped Newton minimizes tau*f - sum log x over the cells of
     ``support``, from the feasible ``x0``; tau starts at m/gap0 and grows
-    twentyfold until m/tau < tol, where m is the number of support cells
+    twentyfold until m/tau < 1e-9, where m is the number of support cells
     (Boyd & Vandenberghe, section 11.3), and at most twice more while the
-    Frank-Wolfe gap is above ``tol``.  Each step moves row t by
+    Frank-Wolfe gap is above 1e-9.  Each step moves row t by
     N_t dz_t, with N_t a basis of the null space of ``a_mat`` on the
     support of row t, so every iterate keeps the constraints up to
     rounding.  The basis is taken as diag(x_t) times an orthonormal null
     basis of ``a_mat`` diag(x_t), which makes the barrier part of the
     reduced Hessian the identity: the Newton system stays well scaled as
-    cells approach zero.  ``max_iters`` caps the Newton steps.  Returns
+    cells approach zero.  It takes at most 5000 Newton steps.  Returns
     the couplings and their Frank-Wolfe gap.
     """
     t_of, cell_of = np.nonzero(support)
@@ -292,9 +293,9 @@ def _barrier_newton(
     out = np.zeros(support.shape)
     tau = m / gap0
     steps = 0
-    while steps < max_iters and dim:
+    while steps < _NEWTON_STEPS and dim:
         last = math.inf
-        for _ in range(max_iters - steps):
+        for _ in range(_NEWTON_STEPS - steps):
             basis = np.zeros((m, dim))
             c0 = 0
             for t, row in enumerate(support):
@@ -326,10 +327,10 @@ def _barrier_newton(
                     alpha *= 0.5
             x = x * (1.0 + alpha * du)
             steps += 1
-        if m / tau < tol:
+        if m / tau < _GAP_TOL:
             out[support] = x
             gap = fw_gap(out)
-            if gap <= tol or m / tau < tol / 400.0:
+            if gap <= _GAP_TOL or m / tau < _GAP_TOL / 400.0:
                 return out, gap
         tau *= 20.0
     out[support] = x
@@ -340,8 +341,6 @@ def vk_union_information(
     dist: JointDistribution,
     target: VariableSet,
     collection: SourceCollection,
-    tol: float = 1e-9,
-    max_iters: int = 5000,
 ) -> OptimizationReport:
     """Least joint dependence consistent with every source-target channel.
 
@@ -350,9 +349,9 @@ def vk_union_information(
     p(a_i|t) for every target state: the Griffith-Koch union program,
     for two sources the BROJA program.  The problem is convex.  It
     returns at once from the true conditional or from the start point
-    when their Frank-Wolfe gap is within ``tol``; otherwise a log-barrier
+    when their Frank-Wolfe gap is within 1e-9; otherwise a log-barrier
     Newton method runs from the start point, in the null space of the
-    constraints, for at most ``max_iters`` Newton steps.  The start is
+    constraints, for at most 5000 Newton steps.  The start is
     the product of the per-source conditionals for disjoint sources, and
     for overlapping ones the point that
     :func:`~cipid.simplex._relative_interior_point` finds from the true
@@ -362,14 +361,12 @@ def vk_union_information(
     The gap is <grad f(x), x> - min over couplings s of <grad f(x), s>,
     one linear program per target state; by convexity the minimum is at
     least the value minus the gap, which the report gives as ``lower``,
-    and ``converged`` means the gap is within ``tol``.  The report's
+    and ``converged`` means the gap is within 1e-9.  The report's
     certificate is the lower bound max over sources of I(A_i;T); its
     argument is the optimizing joint distribution over the pooled
     sources and the target.
     """
     _check_target(dist, target)
-    if not tol > 0.0:
-        raise ArgumentError(f"tol must be positive, got {tol!r}")
     for s in collection:
         _check_vars(dist, s.members, "source")
         if not s.members.isdisjoint(target):
@@ -438,12 +435,12 @@ def vk_union_information(
         return max(_channel_information(w, x) - low, 0.0)
 
     best_x, gap = x0, fw_gap(x0)
-    if gap > tol:
+    if gap > _GAP_TOL:
         gap_true = fw_gap(x_true)
-        if gap_true <= tol:
+        if gap_true <= _GAP_TOL:
             best_x, gap = x_true, gap_true
         else:
-            best_x, gap = _barrier_newton(w, a_mat, support, x0, gap, tol, max_iters, fw_gap)
+            best_x, gap = _barrier_newton(w, a_mat, support, x0, gap, fw_gap)
 
     residual = float(np.max(np.abs(a_mat @ best_x.T - b_mat.T)))
     if residual > 1e-7:
@@ -467,7 +464,7 @@ def vk_union_information(
         argument=argument,
         restarts_used=1,
         certificate=certificate,
-        converged=gap <= tol,
+        converged=gap <= _GAP_TOL,
         lower=value - gap,
     )
 

@@ -26,7 +26,7 @@ from .distribution import (
     _check_vars,
     _clamp_nonneg,
     _from_table,
-    _marginal_pmf,
+    _marginal_sums,
     _mi_lenient,
     _outcomes,
     _source_variables,
@@ -41,6 +41,9 @@ from .errors import (
 )
 from .simplex import _relative_interior_point
 from .sources import CiPartition, SourceCollection
+
+_IPF_SWEEPS = 10_000
+_IPF_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +84,12 @@ def specific_information(
     if len(tval) != len(target):
         raise ArgumentError(f"target state {t!r} has wrong arity for {len(target)} variables")
 
-    p_t = _marginal_pmf(dist, target.indices)
-    if tval not in p_t:
+    p_t = _marginal_sums(dist, target.indices)
+    alph = [dist.alphabets[i] for i in target.indices]
+    tpos = tuple(a.index(s) if s in a else -1 for a, s in zip(alph, tval))
+    if tpos not in p_t:
         raise ArgumentError(f"target state {t!r} has zero probability")
-    return _specific_informations(dist, target, source, p_t)[tval]
+    return _specific_informations(dist, target, source, p_t)[tpos]
 
 
 def _specific_informations(
@@ -92,18 +97,20 @@ def _specific_informations(
 ) -> dict[tuple, float]:
     """Specific information of ``source`` for every target state of ``p_t``.
 
-    ``p_t`` is the target marginal.  One walk over the (source, target)
-    marginal adds each source state's term to its target state.
+    ``p_t`` is the target marginal, keyed by alphabet positions as
+    :func:`~cipid.distribution._marginal_sums` gives it, and so is the
+    result.  One walk over the (source, target) marginal adds each
+    source state's term to its target state.
     """
     if len(source) == 0:
         raise ArgumentError("source must be non-empty")
     _check_vars(dist, source, "source")
     if not source.isdisjoint(target):
         raise ArgumentError("source and target variables overlap")
-    p_a = _marginal_pmf(dist, source.indices)
+    p_a = _marginal_sums(dist, source.indices)
     ns = len(source)
     out = dict.fromkeys(p_t, 0.0)
-    for key, p in _marginal_pmf(dist, source.indices + target.indices).items():
+    for key, p in _marginal_sums(dist, source.indices + target.indices).items():
         tval = key[ns:]
         pt = p_t[tval]
         out[tval] += p / pt * (math.log2(p / p_a[key[:ns]]) - math.log2(pt))
@@ -125,7 +132,7 @@ def imin_redundancy(
     term inside the minimum is itself non-negative.
     """
     _check_target(dist, target)
-    p_t = _marginal_pmf(dist, target.indices)
+    p_t = _marginal_sums(dist, target.indices)
     return _expected_minimum(
         p_t, [_specific_informations(dist, target, s.members, p_t) for s in collection]
     )
@@ -224,7 +231,7 @@ def wb_pid(dist: JointDistribution, target: VariableSet) -> PidResult:
     lat = redundancy_lattice(n)
     names = [dist.var_names[v] for v in src]
 
-    p_t = _marginal_pmf(dist, target.indices)
+    p_t = _marginal_sums(dist, target.indices)
     si = {
         sub: _specific_informations(dist, target, VariableSet(tuple(src[k - 1] for k in sub)), p_t)
         for r in range(1, n + 1)
@@ -321,15 +328,13 @@ def delta_i_synergy(dist: JointDistribution, target: VariableSet) -> float:
 def maxent_ipf(
     dist: JointDistribution,
     preserved_marginals: Sequence[VariableSet],
-    max_sweeps: int = 10_000,
-    tol: float = 1e-10,
 ) -> JointDistribution:
     """Maximum-entropy distribution with the given marginals of ``dist``.
 
     Iterative proportional fitting: it starts uniform on the maximal
     support of the distributions with these marginals, and rescales
     toward each preserved marginal in the listed order until every
-    marginal matches within ``tol`` (checked after each full sweep).
+    marginal matches within 1e-10 (checked after each full sweep).
     The preserved sets must jointly cover all variables.  A combination
     of marginals can force a cell to zero although every marginal cell
     touching it is positive, and fitting approaches such a zero only at
@@ -337,12 +342,8 @@ def maxent_ipf(
     (:func:`~cipid.simplex._relative_interior_point` from p).
 
     Raises :class:`~cipid.errors.IterationLimitError` with the residual
-    if ``max_sweeps`` sweeps do not reach tolerance.
+    if 10,000 sweeps do not reach tolerance.
     """
-    if max_sweeps < 1:
-        raise ArgumentError("max_sweeps must be at least 1")
-    if not tol > 0.0:
-        raise ArgumentError(f"tol must be positive, got {tol!r}")
     if not preserved_marginals:
         raise ArgumentError("need at least one marginal to preserve")
     covered: set[int] = set()
@@ -370,7 +371,7 @@ def maxent_ipf(
     on[live] = _relative_interior_point(a_eq, b_eq, p.ravel()[live]) > 0.0
     x = np.where(on, 1.0 / p.size, 0.0)
 
-    for _ in range(max_sweeps):
+    for _ in range(_IPF_SWEEPS):
         for mapping, tvec in plans:
             cur = np.bincount(mapping, weights=x, minlength=tvec.size)
             factor = np.divide(tvec, cur, out=np.zeros_like(tvec), where=cur > 0.0)
@@ -379,10 +380,10 @@ def maxent_ipf(
             float(np.max(np.abs(np.bincount(mapping, weights=x, minlength=tvec.size) - tvec)))
             for mapping, tvec in plans
         )
-        if residual < tol:
+        if residual < _IPF_TOL:
             return _from_table(dist, every, x.reshape(p.shape))
     raise IterationLimitError(
-        f"iterative scaling did not converge in {max_sweeps} sweeps", residual
+        f"iterative scaling did not converge in {_IPF_SWEEPS} sweeps", residual
     )
 
 

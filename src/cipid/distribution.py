@@ -17,6 +17,7 @@ the code are broken, not merely noisy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 from types import MappingProxyType
@@ -47,16 +48,25 @@ class VariableSet:
 
     Positions index into the ``var_names`` of a distribution.  The
     constructor sorts and deduplicates, so two sets built from the same
-    positions in any order compare equal.
+    positions in any order compare equal.  A position may be any integer
+    but a bool (a numpy integer, say); it is stored as a Python int.
     """
 
     indices: tuple[int, ...]
 
     def __post_init__(self):
+        positions = []
         for i in self.indices:
-            if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+            k = i
+            if type(i) is not int and not isinstance(i, bool):
+                try:
+                    k = operator.index(i)
+                except TypeError:
+                    pass
+            if type(k) is not int or k < 0:
                 raise ArgumentError(f"variable index must be a non-negative integer, got {i!r}")
-        object.__setattr__(self, "indices", tuple(sorted(set(self.indices))))
+            positions.append(k)
+        object.__setattr__(self, "indices", tuple(sorted(set(positions))))
 
     @classmethod
     def of(cls, *indices: int) -> "VariableSet":
@@ -270,19 +280,9 @@ def _marginal_sums(dist: JointDistribution, indices: Sequence[int]) -> dict[tupl
     return out
 
 
-def _marginal_pmf(dist: JointDistribution, indices: Sequence[int]) -> dict[Outcome, float]:
-    alph = [dist.alphabets[i] for i in indices]
-    return {
-        tuple(a[k] for a, k in zip(alph, row)): p
-        for row, p in _marginal_sums(dist, indices).items()
-    }
-
-
 # Cap on the cells of a dense table (the product of its axes' alphabet
 # sizes): 32 MB of doubles.
 _MAX_CELLS = 1 << 22
-# Cap on the CI partitions a source collection may admit.
-_MAX_PARTITIONS = 1 << 16
 
 
 def _dense_shape(dist: JointDistribution, indices: Sequence[int]) -> tuple[int, ...]:
@@ -302,7 +302,7 @@ def _table(dist: JointDistribution, indices: Sequence[int]) -> np.ndarray:
     Axis k runs over the alphabet of ``indices[k]`` in alphabet order.  A
     repeated variable gets one axis per repeat, with mass on the diagonal.
     Mass is added in pmf order, so every cell is summed exactly as
-    :func:`_marginal_pmf` sums it.
+    :func:`_marginal_sums` sums it.
     """
     idx = list(indices)
     out = np.zeros(_dense_shape(dist, idx))
@@ -435,10 +435,11 @@ def marginalize(dist: JointDistribution, variables: VariableSet) -> JointDistrib
         raise ArgumentError("cannot marginalize onto an empty variable set")
     _check_vars(dist, variables)
     idx = variables.indices
+    alph = tuple(dist.alphabets[i] for i in idx)
     return JointDistribution(
         tuple(dist.var_names[i] for i in idx),
-        _marginal_pmf(dist, idx),
-        alphabets=tuple(dist.alphabets[i] for i in idx),
+        {tuple(a[k] for a, k in zip(alph, row)): p for row, p in _marginal_sums(dist, idx).items()},
+        alphabets=alph,
     )
 
 

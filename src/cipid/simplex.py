@@ -58,6 +58,8 @@ def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
 def _run_simplex(tab: np.ndarray, basis: list[int]) -> str:
     """Pivot to optimality by Bland's rule; the last row and column hold costs and rhs."""
     costs = tab[-1, :-1]
+    if not costs.size:
+        return "optimal"  # no column can enter
     for _ in range(_MAX_PIVOTS):
         improving = costs < -_COST_TOL
         enter = int(improving.argmax())
@@ -107,10 +109,6 @@ class _Polytope:
         m, n = a.shape
         self.n = n
         self.feasible = True
-        self._tab = None  # no constraints: every objective gives x = 0
-        self._basis: list[int] = []
-        if m == 0:
-            return
 
         flip = np.where(b < 0.0, -1.0, 1.0)
         a = a * flip[:, None]
@@ -161,8 +159,6 @@ class _Polytope:
             raise ArgumentError(f"objective length {c.shape[0]} does not match {n} variables")
         if not self.feasible:
             return LpSolution("infeasible", None, None)
-        if self._tab is None:
-            return LpSolution("optimal", np.zeros(n), 0.0)
         sense = -1.0 if maximize else 1.0
         obj = sense * c
 

@@ -20,16 +20,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .distribution import (
-    _MAX_PARTITIONS,
-    JointDistribution,
-    VariableSet,
-    _check_vars,
-    _entropy_of,
-)
+from .distribution import JointDistribution, VariableSet, _check_vars, _entropy_of
 from .errors import ArgumentError, UnsupportedError
 
 _DET_TOL = 1e-9
+# Cap on the CI partitions a source collection may admit.
+_MAX_PARTITIONS = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Degradation order, degradation redundancy, and coupling minimization."""
 
+import inspect
 import itertools
 import math
 
@@ -18,13 +19,15 @@ from cipid import (
     degradation_leq,
     degradation_redundancy,
     load_distribution,
+    marginalize,
+    maxent_ipf,
     mutual_information,
     s_d,
     vk_union_information,
 )
 from cipid import channels
 from cipid.corpus import CORPUS
-from cipid.distribution import _marginal_pmf, _source_variables, _table
+from cipid.distribution import _source_variables, _table
 from cipid.sources import SourceCollection, normalize_sources
 
 
@@ -240,8 +243,8 @@ class TestCouplingMinimization:
         q = rep.argument
         assert set(q.var_names) == {"T", "Y1", "Y2"}
         for name in ("Y1", "Y2"):
-            a = _marginal_pmf(d, (d.index_of(name), d.index_of("T")))
-            b = _marginal_pmf(q, (q.index_of(name), q.index_of("T")))
+            a = marginalize(d, d.varset(name, "T")).pmf
+            b = marginalize(q, q.varset(name, "T")).pmf
             for key in set(a) | set(b):
                 assert a.get(key, 0.0) == pytest.approx(b.get(key, 0.0), abs=1e-6)
 
@@ -344,10 +347,17 @@ class TestCouplingMinimization:
                 d, target_of(d), SourceCollection.of((d.index_of("T"),))
             )
 
-    def test_non_positive_tolerance_rejected(self):
-        d = canonical("AND")
-        with pytest.raises(ArgumentError, match="tol"):
-            vk_union_information(d, target_of(d), pair_collection(d), tol=0.0)
+
+def test_optimizer_entry_points_take_no_solver_settings():
+    """Tolerances and step budgets are module constants, not parameters."""
+    want = {
+        degradation_leq: ["k", "kp"],
+        degradation_redundancy: ["dist", "target", "collection", "restarts", "seed"],
+        vk_union_information: ["dist", "target", "collection"],
+        maxent_ipf: ["dist", "preserved_marginals"],
+    }
+    for fn, names in want.items():
+        assert list(inspect.signature(fn).parameters) == names, fn.__name__
 
 
 def projection_fault_pmf():

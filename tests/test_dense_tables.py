@@ -10,10 +10,10 @@ from cipid import (
     VariableSet,
     build_q,
     channel_from,
+    marginalize,
     maxent_ipf,
     vk_union_information,
 )
-from cipid.distribution import _marginal_pmf
 from cipid.sources import CiPartition, SourceCollection
 
 
@@ -23,8 +23,8 @@ def singletons(*indices):
 
 def conditional_rows(d, t_idx, s_idx, states, outs):
     """p(s|t) read straight off the pmf, one row per target state."""
-    joint = _marginal_pmf(d, tuple(t_idx) + tuple(s_idx))
-    p_t = _marginal_pmf(d, tuple(t_idx))
+    joint = marginalize(d, VariableSet(tuple(t_idx) + tuple(s_idx))).pmf
+    p_t = marginalize(d, VariableSet(tuple(t_idx))).pmf
     return np.array([[joint.get(t + o, 0.0) / p_t[t] for o in outs] for t in states])
 
 
@@ -58,7 +58,7 @@ def test_zero_mass_state_of_a_two_variable_target():
 
     k = channel_from(d, t, VariableSet.of(2))
     assert k.input_states == live
-    p_t = _marginal_pmf(d, (0, 1))
+    p_t = marginalize(d, t).pmf
     assert np.allclose(k.input_marginal, [p_t[s] for s in live], atol=1e-15)
     assert np.allclose(k.matrix, conditional_rows(d, (0, 1), (2,), live, k.output_alphabet),
                        atol=1e-15)
@@ -66,8 +66,8 @@ def test_zero_mass_state_of_a_two_variable_target():
     q = build_q(d, t, singletons(2, 3))
     assert q.var_names == d.var_names and q.alphabets == d.alphabets
     assert not any(key[:2] == (1, 1) for key in q.pmf)
-    p_y1 = _marginal_pmf(d, (0, 1, 2))
-    p_y2 = _marginal_pmf(d, (0, 1, 3))
+    p_y1 = marginalize(d, VariableSet.of(0, 1, 2)).pmf
+    p_y2 = marginalize(d, VariableSet.of(0, 1, 3)).pmf
     for key, p in q.pmf.items():
         tt = key[:2]
         want = p_t[tt] * (p_y1[tt + key[2:3]] / p_t[tt]) * (p_y2[tt + key[3:]] / p_t[tt])
@@ -78,8 +78,8 @@ def test_zero_mass_state_of_a_two_variable_target():
     assert arg.var_names == d.var_names
     assert not any(key[:2] == (1, 1) for key in arg.pmf)
     for s in (2, 3):
-        a = _marginal_pmf(d, (0, 1, s))
-        b = _marginal_pmf(arg, (0, 1, s))
+        a = marginalize(d, VariableSet.of(0, 1, s)).pmf
+        b = marginalize(arg, VariableSet.of(0, 1, s)).pmf
         assert max(abs(a[k] - b.get(k, 0.0)) for k in a) <= 1e-7
 
     # the same program with the target merged into one three-state variable

@@ -10,6 +10,7 @@ from cipid import (
     Channel,
     ConsistencyError,
     JointDistribution,
+    SourceCollection,
     VariableSet,
     channel_from,
     conditional_mutual_information,
@@ -47,6 +48,20 @@ class TestVariableSet:
     def test_rejects_a_non_integer_among_integers(self):
         with pytest.raises(ArgumentError, match="'a'"):
             VariableSet(("a", 1))
+        with pytest.raises(ArgumentError):
+            VariableSet((1.0,))
+
+    def test_numpy_integers_become_python_ints(self):
+        vs = VariableSet((np.int64(2), np.uint8(0), 2))
+        assert vs.indices == (0, 2) and all(type(i) is int for i in vs.indices)
+        assert vs == VariableSet.of(0, 2) and hash(vs) == hash(VariableSet.of(0, 2))
+        members = SourceCollection.of(np.flatnonzero([False, True, True])).union()
+        assert members == VariableSet.of(1, 2)
+
+    def test_rejects_numpy_bool_and_negative(self):
+        for bad in (np.True_, np.int64(-1)):
+            with pytest.raises(ArgumentError, match="non-negative integer"):
+                VariableSet((bad,))
 
     def test_membership_and_len(self):
         vs = VariableSet.of(3, 1)

@@ -239,11 +239,17 @@ def test_empty_polytope_is_infeasible_for_every_objective():
 
 
 def test_polytope_without_rows_gives_zeros():
+    """Over x >= 0 alone, x = 0 minimizes a non-negative cost; any other objective is unbounded."""
     polytope = _Polytope(np.zeros((0, 3)), np.zeros(0))
-    for c in ([1.0, 2.0, 3.0], [-1.0, 0.0, 1.0]):
-        sol = polytope.solve(np.array(c), maximize=True)
+    for c in ([1.0, 2.0, 3.0], [0.0, 0.0, 1.0]):
+        sol = polytope.solve(np.array(c))
         assert sol.status == "optimal" and sol.objective == 0.0
         assert np.array_equal(sol.x, np.zeros(3))
+    for c, maximize in (([1.0, 2.0, 3.0], True), ([-1.0, 0.0, 1.0], True), ([-1.0, 0.0, 1.0], False)):
+        sol = polytope.solve(np.array(c), maximize=maximize)
+        assert sol.status == "unbounded" and sol.x is None and sol.objective is None
+    assert solve_lp([-1.0], np.zeros((0, 1)), []).status == "unbounded"
+    assert solve_lp([1.0], np.zeros((0, 1)), [], maximize=True).status == "unbounded"
 
 
 def test_polytope_checks_the_objective_at_solve():
