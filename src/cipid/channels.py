@@ -144,7 +144,10 @@ def degradation_redundancy(
     from the uniform channel and ``restarts`` more times from random
     vertices, keeping the best value (first found wins ties).  Each
     climb takes at most 200 steps; the report is converged when the best
-    climb stopped before that.  The
+    climb stopped before that.  The restart vertices come from one
+    stacked solve of ``restarts`` random objectives, drawn as one array.
+    Climbs meet at the same vertices, so each distinct vertex has its
+    step LP solved, and its value computed, once per call.  The
     output alphabet of Q has one letter per target state, which can miss
     the supremum even for a lone source: with mass 1/3 at (T, Y1, Y2) =
     (0, 0, 0), (1, 1, 1) and 1/6 at (0, 2, 2), (1, 2, 2), {Y1} gives
@@ -194,40 +197,40 @@ def degradation_redundancy(
         c[offsets[0] : offsets[1]] = (mats[0].T @ g).ravel()
         return c
 
-    def vertex_toward(c: np.ndarray) -> np.ndarray:
-        sol = polytope.solve(c, maximize=True)
+    def vertex(sol) -> np.ndarray:
         if sol.status != "optimal":
             raise SolverError(f"vertex search came back {sol.status}")
         return sol.x
 
+    # one (restarts, nv) draw is the same stream as `restarts` draws of nv
     rng = np.random.default_rng(seed)
     starts = [np.tile(np.full(n_out, 1.0 / n_out), sum(widths))]
-    for _ in range(restarts):
-        starts.append(vertex_toward(rng.standard_normal(nv)))
+    starts += map(vertex, polytope.solve(rng.standard_normal((restarts, nv)), maximize=True))
 
     # the climb step is a function of x alone, and climbs meet at the same
-    # vertices: solve each step's LP once per call
-    steps: dict[bytes, np.ndarray] = {}
+    # vertices: solve each step's LP, and value its vertex, once per call
+    steps: dict[bytes, tuple[np.ndarray, float]] = {}
 
-    def step(x: np.ndarray) -> np.ndarray:
+    def step(x: np.ndarray) -> tuple[np.ndarray, float]:
         key = x.tobytes()
         if key not in steps:
-            steps[key] = vertex_toward(linearized(x))
+            s = vertex(polytope.solve(linearized(x), maximize=True))
+            steps[key] = s, objective(s)
         return steps[key]
 
     best_val = -1.0
     best_x = None
     best_converged = False
     for x in starts:
+        val = objective(x)
         converged = False
         for _ in range(_CLIMB_STEPS):
-            s = step(x)
-            if objective(s) > objective(x) + 1e-12:
-                x = s
+            s, s_val = step(x)
+            if s_val > val + 1e-12:
+                x, val = s, s_val
             else:
                 converged = True
                 break
-        val = objective(x)
         if val > best_val:
             best_val, best_x, best_converged = val, x, converged
 

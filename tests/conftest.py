@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cipid import VariableSet, canonical
@@ -15,7 +16,10 @@ def axiom_reports():
 
 @pytest.fixture
 def lp_counts(monkeypatch):
-    """Counts of polytopes prepared (phase 1) and objectives solved (phase 2)."""
+    """Counts of polytopes prepared (phase 1) and objectives solved (phase 2).
+
+    A stack of k objectives counts as k solves.
+    """
     counts = {"prepared": [], "solved": 0}
     prepare, solve = _Polytope.__init__, _Polytope.solve
 
@@ -23,9 +27,9 @@ def lp_counts(monkeypatch):
         counts["prepared"].append((a_eq, b_eq, self))
         prepare(self, a_eq, b_eq)
 
-    def counted_solve(self, *args, **kwargs):
-        counts["solved"] += 1
-        return solve(self, *args, **kwargs)
+    def counted_solve(self, c, *args, **kwargs):
+        counts["solved"] += len(c) if np.ndim(c) == 2 else 1
+        return solve(self, c, *args, **kwargs)
 
     monkeypatch.setattr(_Polytope, "__init__", counted_prepare)
     monkeypatch.setattr(_Polytope, "solve", counted_solve)

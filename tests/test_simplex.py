@@ -4,9 +4,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cipid import ArgumentError, solve_lp
-from cipid.simplex import LpSolution, _Polytope
+from cipid import ArgumentError, SolverError, solve_lp
+from cipid.simplex import (
+    _STACK,
+    LpSolution,
+    _Polytope,
+    _leaving_row,
+    _leaving_row_of,
+    _run_simplex,
+)
 
 
 def brute_force_min(c, a_eq, b_eq):
@@ -248,6 +256,8 @@ def test_polytope_without_rows_gives_zeros():
     for c, maximize in (([1.0, 2.0, 3.0], True), ([-1.0, 0.0, 1.0], True), ([-1.0, 0.0, 1.0], False)):
         sol = polytope.solve(np.array(c), maximize=maximize)
         assert sol.status == "unbounded" and sol.x is None and sol.objective is None
+    stacked = polytope.solve(np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 1.0]]))
+    assert [sol.status for sol in stacked] == ["optimal", "unbounded"]
     assert solve_lp([-1.0], np.zeros((0, 1)), []).status == "unbounded"
     assert solve_lp([1.0], np.zeros((0, 1)), [], maximize=True).status == "unbounded"
 
@@ -261,6 +271,114 @@ def test_polytope_checks_the_objective_at_solve():
     with pytest.raises(ArgumentError):
         _Polytope(np.array([[1.0, np.inf]]), np.array([1.0]))
     assert polytope.solve(np.array([2.0, 1.0])).objective == pytest.approx(1.0, abs=1e-12)
+
+
+def test_drifted_basic_value_does_not_win_the_ratio_test():
+    """Row 0's basic value drifted to -1e-10, a ratio of -1e-7 against its
+    1e-3 entry.  Counted as 0, it ties row 1, whose basic variable is
+    lower, so x0 enters at 0 rather than at -1e-7."""
+    tab = np.array([
+        [1e-3, 0.0, 1.0, -1e-10],
+        [1.0, 1.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0, 0.0],
+    ])
+    basis = [2, 1]
+    assert _leaving_row_of(tab[:-1, -1], tab[:-1, 0], basis) == 1
+    assert _leaving_row(tab[:-1, -1], tab[:-1, 0], np.array(basis)) == 1
+    assert _run_simplex(tab, basis) == "optimal"
+    assert basis == [2, 0]
+    assert tab[:-1, -1].min() == -1e-10
+
+
+_RHS = st.sampled_from([-1e-10, 0.0, 0.5, 0.5 + 4e-13, 0.5 + 2e-12, 1.0])
+_COL = st.sampled_from([-1.0, 0.0, 5e-10, 1e-3, 0.5, 1.0, 2.0])
+
+
+@given(st.lists(st.tuples(_RHS, _COL), max_size=8), st.randoms())
+@settings(max_examples=300, deadline=None)
+def test_both_forms_of_the_leaving_rule_agree(rows, random):
+    """Near-ties, drifted values and rows that cannot pivot, row by row."""
+    rhs = np.array([r for r, _ in rows])
+    col = np.array([c for _, c in rows])
+    basis = random.sample(range(20), len(rows))
+    one = _leaving_row_of(rhs, col, basis)
+    assert _leaving_row(rhs, col, np.array(basis, dtype=np.intp)) == one
+    stacked = _leaving_row(np.stack([rhs, rhs]), np.stack([col, col]),
+                           np.array([basis, basis], dtype=np.intp).reshape(2, -1))
+    assert stacked.tolist() == [one, one]
+
+
+def test_drift_within_the_feasibility_tolerance_is_clamped():
+    # phase 1 leaves x0 basic at -1e-9, inside the 1e-8 tolerance
+    polytope = _Polytope(np.array([[1.0, 1.0]]), np.array([-1e-9]))
+    for sol in [polytope.solve([1.0, 1.0]), *polytope.solve(np.ones((2, 2)))]:
+        assert sol.status == "optimal" and np.array_equal(sol.x, np.zeros(2))
+
+
+def test_drift_beyond_the_feasibility_tolerance_raises():
+    # phase 1 accepts 5e-9 of artificial mass, then pivots x0 in at -5e-7
+    polytope = _Polytope(np.array([[0.01, 0.01]]), np.array([-5e-9]))
+    for c in ([1.0, 1.0], np.ones((3, 2))):
+        with pytest.raises(SolverError, match="-5.000e-07"):
+            polytope.solve(c)
+
+
+def _stack_polytope(rng, bounded, infeasible):
+    """Up to 8 x 9 with small integer coefficients, a sparse feasible point,
+    repeated rows and zero right-hand sides, so vertices are degenerate."""
+    n = int(rng.integers(1, 10))
+    x0 = np.where(rng.random(n) < 0.5, 0.0, rng.integers(1, 4, size=n).astype(float))
+    a = rng.integers(-2, 3, size=(int(rng.integers(0, 4)), n)).astype(float)
+    if a.size:
+        a = np.vstack([a, a[rng.integers(len(a), size=2)]])
+    a = np.vstack([a, (x0 == 0.0) * rng.integers(0, 2, size=n)])
+    b = a @ x0
+    if bounded:
+        a, b = np.vstack([a, np.ones(n)]), np.append(b, x0.sum())
+    if infeasible:
+        a, b = np.vstack([a, np.ones(n)]), np.append(b, -1.0)
+    return a, b
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(0, 3 * _STACK),
+    bounded=st.booleans(),
+    infeasible=st.booleans(),
+    maximize=st.booleans(),
+)
+@example(seed=0, k=2 * _STACK + 5, bounded=False, infeasible=False, maximize=True)
+@settings(max_examples=150, deadline=None)
+def test_stacked_solve_equals_single_solves(seed, k, bounded, infeasible, maximize):
+    rng = np.random.default_rng(seed)
+    a, b = _stack_polytope(rng, bounded, infeasible)
+    polytope = _Polytope(a, b)
+    c = np.where(rng.random((k, a.shape[1])) < 0.5, rng.normal(size=(k, a.shape[1])),
+                 rng.integers(-2, 3, size=(k, a.shape[1])))
+    stacked = polytope.solve(c, maximize=maximize)
+    assert len(stacked) == k
+    for row, many in zip(c, stacked):
+        one = polytope.solve(row, maximize=maximize)
+        assert many.status == one.status
+        assert many.objective == one.objective
+        assert (many.x is None and one.x is None) or np.array_equal(many.x, one.x)
+
+
+def test_stack_of_every_status():
+    """Infeasible, unbounded and optimal objectives across slice boundaries."""
+    assert _Polytope(np.array([[1.0], [1.0]]), np.array([1.0, 2.0])).solve(
+        np.ones((_STACK + 1, 1))) == [LpSolution("infeasible", None, None)] * (_STACK + 1)
+    polytope = _Polytope(np.array([[0.0, 1.0]]), np.array([1.0]))
+    sols = polytope.solve(np.array([[1.0, 0.0], [-1.0, 0.0]] * _STACK))
+    assert [s.status for s in sols] == ["optimal", "unbounded"] * _STACK
+    assert all(np.array_equal(s.x, [0.0, 1.0]) for s in sols[::2])
+    assert polytope.solve(np.zeros((0, 2))) == []
+    for sol in _Polytope(np.zeros((0, 0)), np.zeros(0)).solve(np.zeros((3, 0))):
+        assert sol.status == "optimal" and sol.x.size == 0 and sol.objective == 0.0
+    with pytest.raises(ArgumentError):
+        polytope.solve(np.ones((2, 3)))
+    with pytest.raises(ArgumentError):
+        polytope.solve(np.ones((1, 1, 2)))
 
 
 def test_solution_container():
