@@ -146,8 +146,10 @@ def degradation_redundancy(
     climb takes at most 200 steps; the report is converged when the best
     climb stopped before that.  The restart vertices come from one
     stacked solve of ``restarts`` random objectives, drawn as one array.
-    Climbs meet at the same vertices, so each distinct vertex has its
-    step LP solved, and its value computed, once per call.  The
+    The climbs then move in lockstep: each round solves the step LPs of
+    the live climbs' new vertices as one stacked solve.  Climbs meet at
+    the same vertices, so each distinct vertex has its step LP solved,
+    and its value computed, once per call.  The
     output alphabet of Q has one letter per target state, which can miss
     the supremum even for a lone source: with mass 1/3 at (T, Y1, Y2) =
     (0, 0, 0), (1, 1, 1) and 1/6 at (0, 2, 2), (1, 2, 2), {Y1} gives
@@ -204,35 +206,55 @@ def degradation_redundancy(
 
     # one (restarts, nv) draw is the same stream as `restarts` draws of nv
     rng = np.random.default_rng(seed)
-    starts = [np.tile(np.full(n_out, 1.0 / n_out), sum(widths))]
-    starts += map(vertex, polytope.solve(rng.standard_normal((restarts, nv)), maximize=True))
+    xs = [np.tile(np.full(n_out, 1.0 / n_out), sum(widths))]
+    xs += map(vertex, polytope.solve(rng.standard_normal((restarts, nv)), maximize=True))
 
-    # the climb step is a function of x alone, and climbs meet at the same
-    # vertices: solve each step's LP, and value its vertex, once per call
-    steps: dict[bytes, tuple[np.ndarray, float]] = {}
+    # the climb step and the value are functions of x alone, and climbs
+    # meet at the same vertices: the climbs move in lockstep, each round
+    # solving the steps of its new vertices as one stack, and each
+    # distinct vertex has its step solved, and its value computed, once
+    steps: dict[bytes, np.ndarray] = {}
+    values: dict[bytes, float] = {}
 
-    def step(x: np.ndarray) -> tuple[np.ndarray, float]:
+    def value(x: np.ndarray) -> float:
         key = x.tobytes()
-        if key not in steps:
-            s = vertex(polytope.solve(linearized(x), maximize=True))
-            steps[key] = s, objective(s)
-        return steps[key]
+        if key not in values:
+            values[key] = objective(x)
+        return values[key]
+
+    vals = [value(x) for x in xs]
+    live = list(range(len(xs)))
+    for _ in range(_CLIMB_STEPS):
+        new: dict[bytes, np.ndarray] = {}
+        for i in live:
+            key = xs[i].tobytes()
+            if key not in steps:
+                new.setdefault(key, xs[i])
+        if new:
+            objs = np.array([linearized(x) for x in new.values()])
+            # one objective keeps the scalar runner, which is faster on one LP
+            if len(objs) > 1:
+                sols = polytope.solve(objs, maximize=True)
+            else:
+                sols = [polytope.solve(objs[0], maximize=True)]
+            steps.update(zip(new, map(vertex, sols)))
+        moving = []
+        for i in live:
+            s = steps[xs[i].tobytes()]
+            s_val = value(s)
+            if s_val > vals[i] + 1e-12:
+                xs[i], vals[i] = s, s_val
+                moving.append(i)
+        live = moving
+        if not live:
+            break
 
     best_val = -1.0
     best_x = None
     best_converged = False
-    for x in starts:
-        val = objective(x)
-        converged = False
-        for _ in range(_CLIMB_STEPS):
-            s, s_val = step(x)
-            if s_val > val + 1e-12:
-                x, val = s, s_val
-            else:
-                converged = True
-                break
+    for i, (x, val) in enumerate(zip(xs, vals)):
         if val > best_val:
-            best_val, best_x, best_converged = val, x, converged
+            best_val, best_x, best_converged = val, x, i not in live
 
     kq = np.clip(kq_of(best_x), 0.0, None)
     kq /= kq.sum(axis=1, keepdims=True)

@@ -15,9 +15,10 @@ instead of being clamped.
 Phase 1 depends on the constraints alone, so it runs once per
 polytope: ``_Polytope`` does phase 1 and drops the dependent rows, and
 its ``solve`` runs phase 2.  ``degradation_redundancy`` solves all of
-its LPs (69 on AND, 139 on RDNUNQXOR) on one polytope, whose phase 2
-keeps 106 of 272 rows on RDNUNQXOR, 12 of 15 on BOOM and 6 of 8 on AND.
-``solve_lp`` prepares a polytope for a single objective.
+its LPs on one polytope, in one stacked call for the restarts and one
+per climb round: 69 LPs in 2 calls on AND, 139 in 3 on RDNUNQXOR.  Its
+phase 2 keeps 106 of 272 rows on RDNUNQXOR, 12 of 15 on BOOM and 6 of 8
+on AND.  ``solve_lp`` prepares a polytope for a single objective.
 
 ``solve`` takes one objective or a (k, n) stack of them.  A stack runs
 phase 2 for every objective in lockstep, in slices of ``_STACK``: each
@@ -27,10 +28,11 @@ the same row, so a stacked solve equals k single solves bit for bit.
 A single objective keeps the scalar runner, with the leaving-row rule
 as a loop.  At these tableau sizes a pivot costs numpy call overhead
 rather than arithmetic, so each runner wins on its own shape.  On one
-``lp_polytope`` round (2-core Xeon, Python 3.11, numpy 2.4), its 961
-single LPs took 0.14-0.22 s on the scalar runner and 0.38-0.54 s as
-stacks of one.  Its 960 restart LPs of ``i_cap_d`` took 0.07-0.10 s as
-64-objective stacks and 0.15-0.23 s one at a time.
+``lp_polytope`` round (2-core Xeon, Python 3.11, numpy 2.4), its 1,875
+to 1,887 stacked LPs, the restarts and climb steps of ``i_cap_d``, took
+0.10-0.19 s in their 41 stacked calls and 0.20-0.39 s one at a time.
+Its 25 to 34 single LPs took 6-8 ms on the scalar runner and 15-19 ms
+as stacks of one.
 
 ``_relative_interior_point`` finds the maximal support of a polytope in
 a few LPs, for the maximum-entropy fit and the coupling start.

@@ -18,9 +18,10 @@ def axiom_reports():
 def lp_counts(monkeypatch):
     """Counts of polytopes prepared (phase 1) and objectives solved (phase 2).
 
-    A stack of k objectives counts as k solves.
+    A stack of k objectives counts as k solves.  ``sizes`` holds the
+    number of objectives of each ``solve`` call, in call order.
     """
-    counts = {"prepared": [], "solved": 0}
+    counts = {"prepared": [], "solved": 0, "sizes": []}
     prepare, solve = _Polytope.__init__, _Polytope.solve
 
     def counted_prepare(self, a_eq, b_eq):
@@ -28,7 +29,8 @@ def lp_counts(monkeypatch):
         prepare(self, a_eq, b_eq)
 
     def counted_solve(self, c, *args, **kwargs):
-        counts["solved"] += len(c) if np.ndim(c) == 2 else 1
+        counts["sizes"].append(len(c) if np.ndim(c) == 2 else 1)
+        counts["solved"] += counts["sizes"][-1]
         return solve(self, c, *args, **kwargs)
 
     monkeypatch.setattr(_Polytope, "__init__", counted_prepare)

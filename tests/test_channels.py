@@ -172,6 +172,34 @@ class TestDegradationRedundancy:
         assert lp_counts["solved"] == lps
         assert rep.value.hex() == value
 
+    @pytest.mark.parametrize("name, sizes", [
+        ("AND", [64, 5]), ("BOOM", [64, 24]), ("RDNUNQXOR", [64, 65, 10]),
+    ])
+    def test_climbs_move_in_lockstep(self, lp_counts, name, sizes):
+        """After the restart stack, each climb round solves the steps of
+        its new vertices in one call; a round whose vertices all have
+        their step solved makes no call."""
+        d = canonical(name)
+        degradation_redundancy(d, target_of(d), pair_collection(d))
+        assert lp_counts["sizes"] == sizes
+
+    def test_each_vertex_is_valued_once(self, monkeypatch):
+        """AND's 65 starts meet at 5 distinct vertices, whose steps lead
+        back among them: 5 values, where one per start and per step LP
+        would be 70."""
+        calls = []
+        value = channels._channel_information
+
+        def counted(w, m):
+            calls.append(m)
+            return value(w, m)
+
+        monkeypatch.setattr(channels, "_channel_information", counted)
+        d = canonical("AND")
+        rep = degradation_redundancy(d, target_of(d), pair_collection(d))
+        assert len(calls) == 5 < 65 + (69 - 64)
+        assert rep.value.hex() == "0x1.3ebfb1520c7c6p-2"
+
     @pytest.mark.parametrize("name, rows, rank", [
         ("RDNUNQXOR", 272, 106), ("BOOM", 15, 12), ("AND", 8, 6),
     ])
