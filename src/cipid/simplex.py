@@ -7,10 +7,13 @@ feasibility tests.  The tableau is a dense numpy array.  Sizes range
 from a few rows for a garbling test to 272 x 256 for ``i_cap_d``.  The
 constraint matrices of those programs are mostly zeros, so a pivot
 updates only the rows with a nonzero entry in the pivot column; the
-other rows would be left unchanged by the update anyway.  The ratio
-test counts a basic value that drifted below 0 as 0, and an optimum
-whose basic values drifted below ``-_FEAS_TOL`` raises ``SolverError``
-instead of being clamped.
+other rows would be left unchanged by the update anyway.  A pivot
+entry must exceed ``_PIVOT_TOL`` (1e-7): at 1e-9, phase 1 took entries
+of rounding noise, 1e-9 to 1e-8, as pivots and drove basic values far
+below 0.  The ratio test counts a basic value that drifted below 0 as
+0.  An optimum whose basic values drifted below ``-_FEAS_TOL``, or that
+misses ``a_eq x = b_eq`` by more than ``_FEAS_TOL``, raises
+``SolverError`` instead of being clamped or returned.
 
 Phase 1 depends on the constraints alone, so it runs once per
 polytope: ``_Polytope`` does phase 1 and drops the dependent rows, and
@@ -46,7 +49,7 @@ import numpy as np
 
 from .errors import ArgumentError, SolverError
 
-_PIVOT_TOL = 1e-9
+_PIVOT_TOL = 1e-7
 _COST_TOL = 1e-10
 _FEAS_TOL = 1e-8
 _MAX_PIVOTS = 50_000
@@ -194,7 +197,7 @@ class _Polytope:
     mismatched shapes.
     """
 
-    __slots__ = ("n", "feasible", "_tab", "_basis")
+    __slots__ = ("n", "feasible", "_a", "_b", "_tab", "_basis")
 
     def __init__(self, a_eq, b_eq):
         a = np.asarray(a_eq, dtype=float)
@@ -212,6 +215,7 @@ class _Polytope:
         flip = np.where(b < 0.0, -1.0, 1.0)
         a = a * flip[:, None]
         b = b * flip
+        self._a, self._b = a, b  # the constraints, for the residual of each optimum
 
         # phase 1: artificial basis, minimize the artificial mass
         tab = np.zeros((m + 1, n + m + 1))
@@ -273,7 +277,7 @@ class _Polytope:
             tab = np.vstack((self._tab, _phase2_costs(obj, self._tab, self._basis)))
             basis = self._basis.tolist()
             optimal = _run_simplex(tab, basis) == "optimal"
-            sols = [self._solution(sense, obj[0], optimal, tab[:-1, -1], basis)]
+            sols = self._solutions(sense, obj, [optimal], tab[None, :-1, -1], [basis])
         else:
             sols = []
             for part in (obj[lo : lo + _STACK] for lo in range(0, len(obj), _STACK)):
@@ -281,21 +285,34 @@ class _Polytope:
                     np.broadcast_to(self._tab, (len(part), *self._tab.shape)),
                     _phase2_costs(part, self._tab, self._basis)[:, None, :],
                 ), axis=1)
-                runs = _run_stacked(tabs, np.tile(self._basis, (len(part), 1)))
-                sols += [self._solution(sense, *run) for run in zip(part, *runs)]
+                sols += self._solutions(sense, part, *_run_stacked(
+                    tabs, np.tile(self._basis, (len(part), 1))))
         return sols if c.ndim == 2 else sols[0]
 
-    def _solution(self, sense, obj, optimal, rhs, basis) -> LpSolution:
-        """The solution read off a finished phase 2, in the caller's sense."""
-        if not optimal:
-            return LpSolution("unbounded", None, None)
-        drift = rhs.min(initial=0.0)
-        if drift < -_FEAS_TOL:
-            raise SolverError(f"simplex ended at a basic value of {drift:.3e}")
-        x = np.zeros(self.n)
-        x[basis] = rhs
+    def _solutions(self, sense, obj, optimal, rhs, basis) -> list[LpSolution]:
+        """The solutions read off a stack of finished phase 2 runs, in the caller's sense.
+
+        Raises :class:`~cipid.errors.SolverError` when an optimum has a
+        basic value below ``-_FEAS_TOL``, or misses ``a_eq x = b_eq`` by
+        more than ``_FEAS_TOL`` in the largest entry: one product with
+        the constraints for the whole stack.
+        """
+        x = np.zeros((len(obj), self.n))
+        x[np.arange(len(obj))[:, None], basis] = rhs
+        drift = rhs.min(axis=1, initial=0.0)
         x[x < 0.0] = 0.0  # drift within the feasibility tolerance
-        return LpSolution("optimal", x, sense * float(obj @ x))
+        residual = np.abs(x @ self._a.T - self._b).max(axis=1, initial=0.0)
+        sols = []
+        for i, ok in enumerate(optimal):
+            if not ok:
+                sols.append(LpSolution("unbounded", None, None))
+            elif drift[i] < -_FEAS_TOL:
+                raise SolverError(f"simplex ended at a basic value of {drift[i]:.3e}")
+            elif residual[i] > _FEAS_TOL:
+                raise SolverError(f"simplex optimum misses its constraints by {residual[i]:.3e}")
+            else:
+                sols.append(LpSolution("optimal", x[i], sense * float(obj[i] @ x[i])))
+        return sols
 
 
 def solve_lp(

@@ -200,6 +200,26 @@ class TestDegradationRedundancy:
         assert len(calls) == 5 < 65 + (69 - 64)
         assert rep.value.hex() == "0x1.3ebfb1520c7c6p-2"
 
+    def test_phase_one_skips_pivots_of_rounding_noise(self):
+        """A pmf on which phase 1 once pivoted on a 2.06e-9 entry in a row
+        whose basic value had drifted to -3.7e-10; that sent a variable to
+        -0.18, and i_cap_d raised.  Y1 is more informative than Y2 and
+        degrades into it here, so the redundancy is I(Y2;T), reached by a
+        channel below both sources."""
+        d = JointDistribution(["T", "Y1", "Y2"], {
+            (0, 0, 0): 0.0213384902223011, (0, 0, 1): 0.0008175295850676347,
+            (0, 1, 0): 3.8606018674631283e-07, (0, 2, 0): 0.2241318036765417,
+            (0, 2, 1): 0.15767891070704065, (1, 0, 1): 0.5037572626837685,
+            (1, 1, 0): 0.09013229220365604, (2, 1, 0): 0.0021433248614376958,
+        })
+        t = target_of(d)
+        rep = degradation_redundancy(d, t, pair_collection(d))
+        assert rep.converged
+        assert rep.value == pytest.approx(mutual_information(d, d.varset("Y2"), t), abs=1e-9)
+        for name in ("Y1", "Y2"):
+            below, witness = degradation_leq(rep.argument, channel_from(d, t, d.varset(name)))
+            assert below and witness.residual <= 1e-9
+
     @pytest.mark.parametrize("name, rows, rank", [
         ("RDNUNQXOR", 272, 106), ("BOOM", 15, 12), ("AND", 8, 6),
     ])

@@ -323,6 +323,30 @@ def test_drift_beyond_the_feasibility_tolerance_raises():
             polytope.solve(c)
 
 
+def _shifted_polytope(shift):
+    """x0 + x1 = 1 with its stored phase-2 rhs moved by ``shift``, as drift
+    in phase 1 would move it: x0 = 1 + shift is still a basic value >= 0."""
+    polytope = _Polytope(np.array([[1.0, 1.0]]), np.array([1.0]))
+    tab = polytope._tab.copy()
+    tab[0, -1] += shift
+    polytope._tab = tab
+    return polytope
+
+
+def test_optimum_that_misses_its_constraints_raises():
+    polytope = _shifted_polytope(0.5)
+    for c in ([1.0, 2.0], np.array([[1.0, 2.0], [1.0, 3.0]])):
+        with pytest.raises(SolverError, match="misses its constraints by 5.000e-01"):
+            polytope.solve(c)
+
+
+def test_residual_within_the_feasibility_tolerance_is_accepted():
+    polytope = _shifted_polytope(5e-9)
+    for sol in [polytope.solve([1.0, 2.0]), *polytope.solve(np.array([[1.0, 2.0], [1.0, 3.0]]))]:
+        assert sol.status == "optimal"
+        assert sol.x.tolist() == [1.0 + 5e-9, 0.0]
+
+
 def _stack_polytope(rng, bounded, infeasible):
     """Up to 8 x 9 with small integer coefficients, a sparse feasible point,
     repeated rows and zero right-hand sides, so vertices are degenerate."""
