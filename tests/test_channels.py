@@ -201,11 +201,10 @@ class TestDegradationRedundancy:
         assert rep.value.hex() == "0x1.3ebfb1520c7c6p-2"
 
     def test_phase_one_skips_pivots_of_rounding_noise(self):
-        """A pmf on which phase 1 once pivoted on a 2.06e-9 entry in a row
-        whose basic value had drifted to -3.7e-10; that sent a variable to
-        -0.18, and i_cap_d raised.  Y1 is more informative than Y2 and
-        degrades into it here, so the redundancy is I(Y2;T), reached by a
-        channel below both sources."""
+        """Phase 1 meets a 2.06e-9 entry in a row whose basic value drifted
+        to -3.7e-10; taken as a pivot, it sends a variable to -0.18 and
+        i_cap_d raises.  Y2 is a garbling of Y1 here, so the redundancy is
+        I(Y2;T), reached by a channel below both sources."""
         d = JointDistribution(["T", "Y1", "Y2"], {
             (0, 0, 0): 0.0213384902223011, (0, 0, 1): 0.0008175295850676347,
             (0, 1, 0): 3.8606018674631283e-07, (0, 2, 0): 0.2241318036765417,
