@@ -232,12 +232,7 @@ def degradation_redundancy(
                 new.setdefault(key, xs[i])
         if new:
             objs = np.array([linearized(x) for x in new.values()])
-            # one objective keeps the scalar runner, which is faster on one LP
-            if len(objs) > 1:
-                sols = polytope.solve(objs, maximize=True)
-            else:
-                sols = [polytope.solve(objs[0], maximize=True)]
-            steps.update(zip(new, map(vertex, sols)))
+            steps.update(zip(new, map(vertex, polytope.solve(objs, maximize=True))))
         moving = []
         for i in live:
             s = steps[xs[i].tobytes()]

@@ -10,6 +10,7 @@ decomposition driven by an externally supplied redundancy value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -138,81 +139,102 @@ def imin_redundancy(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RedundancyLattice:
     """Antichain lattice used for the lattice decomposition.
 
     ``nodes`` are antichains of non-empty subsets of {1..n}, each node a
     tuple of sorted index tuples, listed bottom-up (every node appears
-    after everything below it).  ``down_set(i)`` returns the indices of
-    all nodes at or below node ``i``; ``covers(i)`` the immediate
-    predecessors.
+    after everything below it).  ``below`` is a read-only boolean matrix
+    whose entry [i, j] says that node ``i`` is at or below node ``j``;
+    ``leq`` reads it, and ``down_set(i)`` returns the indices of all
+    nodes at or below node ``i``.  ``mobius`` inverts values given at
+    the nodes into atoms along ``below``.
     """
 
     n: int
     nodes: tuple[tuple[tuple[int, ...], ...], ...]
-    _leq: frozenset[tuple[int, int]]
+    below: np.ndarray
+    bottom = 0  # the bottom-up listing starts at {1}..{n} and ends at {1..n}
 
     def leq(self, i: int, j: int) -> bool:
-        return (i, j) in self._leq
+        return bool(self.below[i, j])
 
     def down_set(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(len(self.nodes)) if self.leq(j, i))
+        return tuple(np.flatnonzero(self.below[:, i]).tolist())
 
-    def covers(self, i: int) -> tuple[int, ...]:
-        below = [j for j in range(len(self.nodes)) if j != i and self.leq(j, i)]
-        out = []
-        for j in below:
-            if not any(k != j and self.leq(j, k) for k in below):
-                out.append(j)
-        return tuple(out)
+    def mobius(self, values: Sequence[float]) -> list[float]:
+        """The atoms whose sum over each node's down set is that node's value.
+
+        Node ``i``'s atom is ``values[i]`` minus the atoms strictly below
+        it, added in node order; the bottom-up listing puts them all
+        before ``i``.
+        """
+        atoms: list[float] = []
+        for i, v in enumerate(values):
+            atoms.append(v - sum(atoms[j] for j in np.flatnonzero(self.below[:i, i])))
+        return atoms
 
     @property
     def top(self) -> int:
-        full = (tuple(range(1, self.n + 1)),)
-        return self.nodes.index(full)
-
-    @property
-    def bottom(self) -> int:
-        singles = tuple((k,) for k in range(1, self.n + 1))
-        return self.nodes.index(singles)
+        return len(self.nodes) - 1
 
 
+@functools.cache
 def redundancy_lattice(n: int) -> RedundancyLattice:
-    """The lattice of source antichains for n predictors (n in {2, 3})."""
+    """The lattice of source antichains for n predictors (n in {2, 3}), built once per n."""
     if n not in (2, 3):
         raise UnsupportedError(f"redundancy lattice only built for 2 or 3 predictors, not {n}")
 
-    subsets = []
-    for r in range(1, n + 1):
-        subsets.extend(itertools.combinations(range(1, n + 1), r))
+    subsets = [s for r in range(1, n + 1) for s in itertools.combinations(range(1, n + 1), r)]
+    # subsets come ordered by size, then lexicographically, and so does each antichain
+    nodes = [
+        col
+        for r in range(1, len(subsets) + 1)
+        for col in itertools.combinations(subsets, r)
+        if not any(a != b and set(a) <= set(b) for a in col for b in col)
+    ]
 
-    def is_antichain(col):
-        return not any(
-            a != b and set(a) <= set(b) for a in col for b in col
-        )
-
-    nodes = []
-    for r in range(1, len(subsets) + 1):
-        for col in itertools.combinations(subsets, r):
-            if is_antichain(col):
-                nodes.append(tuple(sorted(col, key=lambda s: (len(s), s))))
-
-    def below(alpha, beta):
+    def at_or_below(alpha, beta):
         return all(any(set(a) <= set(b) for a in alpha) for b in beta)
 
     # Counts must be taken before sorting: list.sort empties the list
     # while it runs, so a key function touching ``nodes`` would see [].
-    depth = {nd: sum(below(m, nd) for m in nodes) for nd in nodes}
+    depth = {nd: sum(at_or_below(m, nd) for m in nodes) for nd in nodes}
     nodes.sort(key=lambda nd: (depth[nd], nd))
-    leq = frozenset(
-        (i, j) for i in range(len(nodes)) for j in range(len(nodes)) if below(nodes[i], nodes[j])
-    )
-    return RedundancyLattice(n, tuple(nodes), leq)
+    below = np.array([[at_or_below(a, b) for b in nodes] for a in nodes])
+    below.setflags(write=False)
+    return RedundancyLattice(n, tuple(nodes), below)
 
 
-def _node_label(node: tuple[tuple[int, ...], ...], names: Sequence[str]) -> str:
-    return "".join("{" + ",".join(names[k - 1] for k in sub) + "}" for sub in node)
+def _wb_atoms(
+    dist: JointDistribution, target: VariableSet
+) -> tuple[list[int], RedundancyLattice, list[float]]:
+    """The predictors, their lattice and its atoms, the Moebius inverse of Imin.
+
+    Each node's value is the expected minimum specific information of
+    its sources.  Raises when the atoms do not sum to the joint
+    information (checked to 1e-6).
+    """
+    src = _source_variables(dist, target)
+    lat = redundancy_lattice(len(src))
+    p_t = _marginal_sums(dist, target.indices)
+    # every subset of predictors is a node on its own
+    si = {
+        sub: _specific_informations(dist, target, VariableSet(tuple(src[k - 1] for k in sub)), p_t)
+        for node in lat.nodes
+        if len(node) == 1
+        for sub in node
+    }
+    atoms = lat.mobius([_expected_minimum(p_t, [si[sub] for sub in node]) for node in lat.nodes])
+
+    total = math.fsum(atoms)
+    whole = _mi_lenient(dist, src, target.indices)
+    if abs(total - whole) > 1e-6:
+        raise ConsistencyError(
+            f"lattice atoms sum to {total!r} but the joint information is {whole!r}"
+        )
+    return src, lat, atoms
 
 
 def wb_pid(dist: JointDistribution, target: VariableSet) -> PidResult:
@@ -224,42 +246,17 @@ def wb_pid(dist: JointDistribution, target: VariableSet) -> PidResult:
     the expected-minimum redundancy along the lattice and sum to the
     joint mutual information (checked to 1e-6).
     """
-    src = _source_variables(dist, target)
-    n = len(src)
-    if n not in (2, 3):
-        raise UnsupportedError(f"lattice decomposition handles 2 or 3 predictors, not {n}")
-    lat = redundancy_lattice(n)
+    src, lat, atoms = _wb_atoms(dist, target)
     names = [dist.var_names[v] for v in src]
-
-    p_t = _marginal_sums(dist, target.indices)
-    si = {
-        sub: _specific_informations(dist, target, VariableSet(tuple(src[k - 1] for k in sub)), p_t)
-        for r in range(1, n + 1)
-        for sub in itertools.combinations(range(1, n + 1), r)
-    }
-    imin = [_expected_minimum(p_t, [si[sub] for sub in node]) for node in lat.nodes]
-
-    atoms = [0.0] * len(lat.nodes)
-    for i in range(len(lat.nodes)):
-        atoms[i] = imin[i] - sum(atoms[j] for j in lat.down_set(i) if j != i)
-
-    total = math.fsum(atoms)
-    whole = _mi_lenient(dist, src, target.indices)
-    if abs(total - whole) > 1e-6:
-        raise ConsistencyError(
-            f"lattice atoms sum to {total!r} but the joint information is {whole!r}"
-        )
-    return PidResult(
-        {_node_label(node, names): a for node, a in zip(lat.nodes, atoms)}
-    )
+    labels = ("".join("{" + ",".join(names[k - 1] for k in sub) + "}" for sub in node)
+              for node in lat.nodes)
+    return PidResult(dict(zip(labels, atoms)))
 
 
 def wb_synergy(dist: JointDistribution, target: VariableSet) -> float:
     """The atom at the top lattice node, all predictors pooled as one source."""
-    src = _source_variables(dist, target)
-    names = [dist.var_names[v] for v in src]
-    top = "{" + ",".join(names) + "}"
-    return wb_pid(dist, target)[top]
+    _, lat, atoms = _wb_atoms(dist, target)
+    return atoms[lat.top]
 
 
 def wb_union_information(dist: JointDistribution, target: VariableSet) -> float:
@@ -270,16 +267,8 @@ def wb_union_information(dist: JointDistribution, target: VariableSet) -> float:
     of the same lattice.  For two predictors it coincides with
     I(Y;T) minus the top atom.
     """
-    src = _source_variables(dist, target)
-    n = len(src)
-    lat = redundancy_lattice(n)
-    names = [dist.var_names[v] for v in src]
-    result = wb_pid(dist, target)
-    total = 0.0
-    for node in lat.nodes:
-        if any(len(sub) == 1 for sub in node):
-            total += result[_node_label(node, names)]
-    return total
+    _, lat, atoms = _wb_atoms(dist, target)
+    return sum(a for node, a in zip(lat.nodes, atoms) if any(len(sub) == 1 for sub in node))
 
 
 # ---------------------------------------------------------------------------

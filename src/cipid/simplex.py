@@ -23,19 +23,24 @@ per climb round: 69 LPs in 2 calls on AND, 139 in 3 on RDNUNQXOR.  Its
 phase 2 keeps 106 of 272 rows on RDNUNQXOR, 12 of 15 on BOOM and 6 of 8
 on AND.  ``solve_lp`` prepares a polytope for a single objective.
 
-``solve`` takes one objective or a (k, n) stack of them.  A stack runs
-phase 2 for every objective in lockstep, in slices of ``_STACK``: each
-Bland step is one array expression over the tableaux still running.
-The runners share the cost-row build, and their leaving-row rules pick
-the same row, so a stacked solve equals k single solves bit for bit.
-A single objective keeps the scalar runner, with the leaving-row rule
-as a loop.  At these tableau sizes a pivot costs numpy call overhead
-rather than arithmetic, so each runner wins on its own shape.  On one
+``solve`` takes one objective or a (k, n) stack of them, and picks the
+runner by the number of objectives.  A stack of ``_MIN_STACK`` (4) or
+more runs phase 2 for every objective in lockstep, in slices of
+``_STACK``: each Bland step is one array expression over the tableaux
+still running.  Fewer objectives, a single one included, run one at a
+time on the scalar runner, with the leaving-row rule as a loop.  The
+runners share the cost-row build, and their leaving-row rules pick the
+same row, so a stacked solve equals k single solves bit for bit.  At
+these tableau sizes a pivot costs numpy call overhead rather than
+arithmetic, so each runner wins on its own shape.  On one
 ``lp_polytope`` round (2-core Xeon, Python 3.11, numpy 2.4), its 1,875
 to 1,887 stacked LPs, the restarts and climb steps of ``i_cap_d``, took
 0.10-0.19 s in their 41 stacked calls and 0.20-0.39 s one at a time.
 Its 25 to 34 single LPs took 6-8 ms on the scalar runner and 15-19 ms
-as stacks of one.
+as stacks of one.  On the stacks of 2 to 4 of ``lp_polytope`` seed 1,
+rounds 0-2 (best of 7), stacks of 2 took 2.9 ms stacked against 1.7 ms
+one at a time, stacks of 3 4.6 against 3.7 ms, and stacks of 4 3.8
+against 4.1 ms.
 
 ``_relative_interior_point`` finds the maximal support of a polytope in
 a few LPs, for the maximum-entropy fit and the coupling start.
@@ -55,6 +60,7 @@ _FEAS_TOL = 1e-8
 _MAX_PIVOTS = 50_000
 _NO_ROW = np.iinfo(np.intp).max  # above every basic variable
 _STACK = 16  # objectives per lockstep slice; larger stacks raise peak memory
+_MIN_STACK = 4  # fewer objectives run one at a time, which is faster
 
 
 @dataclass(frozen=True)
@@ -252,9 +258,11 @@ class _Polytope:
         """Minimize (or maximize) c.x over the polytope by phase 2 alone.
 
         ``c`` is one objective of length n, or a (k, n) stack of them,
-        which gives a list of k solutions.  A stack runs in lockstep, in
-        slices of ``_STACK`` objectives, and each of its solutions equals
-        the solve of its objective alone bit for bit.  The reported
+        which gives a list of k solutions.  A stack of ``_MIN_STACK`` or
+        more runs in lockstep, in slices of ``_STACK`` objectives; a
+        shorter one runs one objective at a time on the scalar runner.
+        Either way each solution equals the solve of its objective alone
+        bit for bit.  The reported
         objective is always in the caller's sense.  Raises
         :class:`~cipid.errors.ArgumentError` on a non-finite or
         wrong-length ``c``, and :class:`~cipid.errors.SolverError` when
@@ -273,11 +281,13 @@ class _Polytope:
 
         if not self.feasible:
             sols = [LpSolution("infeasible", None, None)] * len(obj)
-        elif c.ndim == 1:
-            tab = np.vstack((self._tab, _phase2_costs(obj, self._tab, self._basis)))
-            basis = self._basis.tolist()
-            optimal = _run_simplex(tab, basis) == "optimal"
-            sols = self._solutions(sense, obj, [optimal], tab[None, :-1, -1], [basis])
+        elif len(obj) < _MIN_STACK:
+            sols = []
+            for one in obj[:, None]:
+                tab = np.vstack((self._tab, _phase2_costs(one, self._tab, self._basis)))
+                basis = self._basis.tolist()
+                optimal = _run_simplex(tab, basis) == "optimal"
+                sols += self._solutions(sense, one, [optimal], tab[None, :-1, -1], [basis])
         else:
             sols = []
             for part in (obj[lo : lo + _STACK] for lo in range(0, len(obj), _STACK)):

@@ -219,6 +219,28 @@ class TestDegradationRedundancy:
             below, witness = degradation_leq(rep.argument, channel_from(d, t, d.varset(name)))
             assert below and witness.residual <= 1e-9
 
+    @pytest.mark.xfail(strict=True, raises=SolverError, reason=(
+        "phase 1 ends optimal with 9.56e-8 of artificial mass, above _FEAS_TOL, "
+        "so the garbling polytope is declared empty"))
+    def test_phase_one_finds_the_constant_channel(self):
+        """Draw 1576 of axioms.random_distribution(default_rng(2024)), with
+        masses down to 1.9e-12.  The constant channel lies below every
+        source, so the garbling polytope is never empty."""
+        d = JointDistribution(["T", "Y1", "Y2"], {
+            (0, 0, 2): 1.857774810655079e-12, (0, 1, 0): 0.03663481743994662,
+            (0, 1, 1): 0.2508726796056993, (1, 0, 0): 0.0008914199486069064,
+            (1, 0, 1): 0.10833437266717451, (1, 0, 2): 0.3595079364879809,
+            (1, 1, 0): 2.7919741383524404e-05, (1, 1, 1): 0.03786409782568618,
+            (1, 1, 2): 0.1290517648678252, (2, 0, 2): 4.194890070693462e-08,
+            (2, 1, 2): 0.07681494946493836,
+        })
+        t = target_of(d)
+        rep = degradation_redundancy(d, t, pair_collection(d))
+        assert rep.converged
+        for name in ("Y1", "Y2"):
+            below, witness = degradation_leq(rep.argument, channel_from(d, t, d.varset(name)))
+            assert below and witness.residual <= 1e-9
+
     @pytest.mark.parametrize("name, rows, rank", [
         ("RDNUNQXOR", 272, 106), ("BOOM", 15, 12), ("AND", 8, 6),
     ])

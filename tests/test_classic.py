@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cipid import (
     ArgumentError,
@@ -130,10 +131,33 @@ class TestLattice:
                 for j in lat.down_set(i):
                     assert j <= i
 
-    def test_covers_of_top_for_two(self):
+    def test_below_for_two(self):
+        """{1}{2} lies below every node, {1,2} above every node, and {1}
+        and {2} are incomparable."""
         lat = redundancy_lattice(2)
-        covers = {lat.nodes[j] for j in lat.covers(lat.top)}
-        assert covers == {((1,),), ((2,),)}
+        assert lat.nodes == (((1,), (2,)), ((1,),), ((2,),), ((1, 2),))
+        assert lat.below.tolist() == [
+            [True, True, True, True],
+            [False, True, False, True],
+            [False, False, True, True],
+            [False, False, False, True],
+        ]
+
+    def test_built_once_and_read_only(self):
+        for n in (2, 3):
+            lat = redundancy_lattice(n)
+            assert redundancy_lattice(n) is lat
+            assert not lat.below.flags.writeable
+
+    @pytest.mark.parametrize("n", (2, 3))
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18))
+    @settings(max_examples=100, deadline=None)
+    def test_mobius_inverts_down_set_sums(self, n, values):
+        lat = redundancy_lattice(n)
+        values = values[: len(lat.nodes)]
+        atoms = lat.mobius(values)
+        for i, v in enumerate(values):
+            assert math.fsum(atoms[j] for j in lat.down_set(i)) == pytest.approx(v, abs=1e-12)
 
     def test_unsupported_size(self):
         with pytest.raises(UnsupportedError):

@@ -7,6 +7,9 @@ and, on three predictors, with {Y1,Y2},{Y2,Y3}.  The table was computed
 by the two-phase simplex that re-ran phase 1 per objective and by the
 dict-of-tuples pmf core, so a change to the LP layer or the pmf core that
 moves any bit fails here.
+
+``WB_ATOMS`` pins every ``wb_pid`` atom on the same entries, as computed
+when the lattice was a set of (i, j) pairs rebuilt on every call.
 """
 
 import pytest
@@ -18,6 +21,7 @@ from cipid import (
     degradation_redundancy,
     dep_synergy,
     vk_union_information,
+    wb_pid,
 )
 
 PINNED = {
@@ -149,3 +153,212 @@ def test_pinned_values(name, r):
         rep = vk_union_information(d, t, SourceCollection.of(src[:2], src[1:]))
         got["vk_overlap"] = (rep.value.hex(), rep.lower.hex())
     assert got == want
+
+
+WB_ATOMS = {
+    ('XOR', None): {
+        '{Y1}{Y2}': '0x0.0p+0',
+        '{Y1}': '0x0.0p+0',
+        '{Y2}': '0x0.0p+0',
+        '{Y1,Y2}': '0x1.0000000000000p+0',
+    },
+    ('AND', None): {
+        '{Y1}{Y2}': '0x1.3ebfb1520c7c6p-2',
+        '{Y1}': '0x0.0p+0',
+        '{Y2}': '0x0.0p+0',
+        '{Y1,Y2}': '0x1.0000000000000p-1',
+    },
+    ('COPY', None): {
+        '{Y1}{Y2}': '0x1.0000000000000p+0',
+        '{Y1}': '0x0.0p+0',
+        '{Y2}': '0x0.0p+0',
+        '{Y1,Y2}': '0x1.0000000000000p+0',
+    },
+    ('TWEAKED_COPY', None): {
+        '{Y1}{Y2}': '0x1.2b803473f7ad2p-1',
+        '{Y1}': '0x1.5555555555554p-2',
+        '{Y2}': '0x1.5555555555554p-2',
+        '{Y1,Y2}': '0x1.5555555555554p-2',
+    },
+    ('BOOM', None): {
+        '{Y1}{Y2}': '0x1.fffffffffffffp-2',
+        '{Y1}': '0x1.5555555555556p-3',
+        '{Y2}': '0x1.5555555555552p-3',
+        '{Y1,Y2}': '0x1.2b803473f7ad4p-2',
+    },
+    ('ADAPTED_REDUCED_OR', 0.25): {
+        '{Y1}{Y2}': '0x1.3ebfb1520c7c5p-2',
+        '{Y1}': '0x0.0p+0',
+        '{Y2}': '0x0.0p+0',
+        '{Y1,Y2}': '0x1.9f5fd8a9063e3p-2',
+    },
+    ('ADAPTED_REDUCED_OR', 0.5): {
+        '{Y1}{Y2}': '0x1.3ebfb1520c7c5p-2',
+        '{Y1}': '0x0.0p+0',
+        '{Y2}': '0x0.0p+0',
+        '{Y1,Y2}': '0x1.e66f376fe0e0ap-3',
+    },
+    ('TARGET_MONO_AND', None): {
+        '{Z}{Y1}{Y2}': '0x1.3ebfb1520c7c6p-2',
+        '{Z}{Y1}': '0x0.0p+0',
+        '{Z}{Y2}': '0x0.0p+0',
+        '{Y1}{Y2}': '0x0.0p+0',
+        '{Z}{Y1,Y2}': '0x1.0000000000000p-1',
+        '{Y1}{Z,Y2}': '0x0.0p+0',
+        '{Y2}{Z,Y1}': '0x0.0p+0',
+        '{Z}': '0x0.0p+0',
+        '{Y1}': '0x0.0p+0',
+        '{Y2}': '0x0.0p+0',
+        '{Z,Y1}{Z,Y2}{Y1,Y2}': '0x0.0p+0',
+        '{Z,Y1}{Z,Y2}': '0x0.0p+0',
+        '{Z,Y1}{Y1,Y2}': '0x0.0p+0',
+        '{Z,Y2}{Y1,Y2}': '0x0.0p+0',
+        '{Z,Y1}': '0x0.0p+0',
+        '{Z,Y2}': '0x0.0p+0',
+        '{Y1,Y2}': '0x0.0p+0',
+        '{Z,Y1,Y2}': '0x0.0p+0',
+    },
+    ('TARGET_MONO_CI', None): {
+        '{Z}{Y1}{Y2}': '0x1.64935e63dd346p-2',
+        '{Z}{Y1}': '0x1.07119743df4cap-1',
+        '{Z}{Y2}': '0x0.0p+0',
+        '{Y1}{Y2}': '0x0.0p+0',
+        '{Z}{Y1,Y2}': '0x1.f37bb4b6ec600p-7',
+        '{Y1}{Z,Y2}': '0x1.45578b2786a40p-7',
+        '{Y2}{Z,Y1}': '0x0.0p+0',
+        '{Z}': '0x0.0p+0',
+        '{Y1}': '0x0.0p+0',
+        '{Y2}': '0x0.0p+0',
+        '{Z,Y1}{Z,Y2}{Y1,Y2}': '0x1.196177cdd5900p-5',
+        '{Z,Y1}{Z,Y2}': '0x0.0p+0',
+        '{Z,Y1}{Y1,Y2}': '0x0.0p+0',
+        '{Z,Y2}{Y1,Y2}': '0x0.0p+0',
+        '{Z,Y1}': '0x0.0p+0',
+        '{Z,Y2}': '0x0.0p+0',
+        '{Y1,Y2}': '0x0.0p+0',
+        '{Z,Y1,Y2}': '0x0.0p+0',
+    },
+    ('ADAPTED_XOR', 0.25): {
+        '{Y1}{Y2}': '0x1.fcf3def4bd45dp-4',
+        '{Y1}': '0x0.0p+0',
+        '{Y2}': '0x0.0p+0',
+        '{Y1,Y2}': '0x1.234f13e88dfb9p-1',
+    },
+    ('ADAPTED_XOR', 0.5): {
+        '{Y1}{Y2}': '0x1.8fba684fe7652p-5',
+        '{Y1}': '0x0.0p+0',
+        '{Y2}': '0x0.0p+0',
+        '{Y1,Y2}': '0x1.4fafec54831f1p-1',
+    },
+    ('ADAPTED_XOR_V2', 0.25): {
+        '{Y1}{Y2}': '0x1.42c7cf387992bp-5',
+        '{Y1}': '0x0.0p+0',
+        '{Y2}': '0x0.0p+0',
+        '{Y1,Y2}': '0x1.b130030f2dba8p-2',
+    },
+    ('ADAPTED_XOR_V2', 0.5): {
+        '{Y1}{Y2}': '0x1.d72744c2951fcp-7',
+        '{Y1}': '0x0.0p+0',
+        '{Y2}': '0x0.0p+0',
+        '{Y1,Y2}': '0x1.fb5a5985ad814p-2',
+    },
+    ('RDNXOR', None): {
+        '{Y1}{Y2}': '0x1.0000000000000p+0',
+        '{Y1}': '0x0.0p+0',
+        '{Y2}': '0x0.0p+0',
+        '{Y1,Y2}': '0x1.0000000000000p+0',
+    },
+    ('RDNUNQXOR', None): {
+        '{Y1}{Y2}': '0x1.0000000000000p+1',
+        '{Y1}': '0x0.0p+0',
+        '{Y2}': '0x0.0p+0',
+        '{Y1,Y2}': '0x1.0000000000000p+1',
+    },
+    ('XORDUPLICATE', None): {
+        '{Y1}{Y2}{Y3}': '0x0.0p+0',
+        '{Y1}{Y2}': '0x0.0p+0',
+        '{Y1}{Y3}': '0x0.0p+0',
+        '{Y2}{Y3}': '0x0.0p+0',
+        '{Y1}{Y2,Y3}': '0x0.0p+0',
+        '{Y2}{Y1,Y3}': '0x0.0p+0',
+        '{Y3}{Y1,Y2}': '0x0.0p+0',
+        '{Y1}': '0x0.0p+0',
+        '{Y2}': '0x0.0p+0',
+        '{Y3}': '0x0.0p+0',
+        '{Y1,Y2}{Y1,Y3}{Y2,Y3}': '0x0.0p+0',
+        '{Y1,Y2}{Y1,Y3}': '0x1.0000000000000p+0',
+        '{Y1,Y2}{Y2,Y3}': '0x0.0p+0',
+        '{Y1,Y3}{Y2,Y3}': '0x0.0p+0',
+        '{Y1,Y2}': '0x0.0p+0',
+        '{Y1,Y3}': '0x0.0p+0',
+        '{Y2,Y3}': '0x0.0p+0',
+        '{Y1,Y2,Y3}': '0x0.0p+0',
+    },
+    ('ANDDUPLICATE', None): {
+        '{Y1}{Y2}{Y3}': '0x1.3ebfb1520c7c6p-2',
+        '{Y1}{Y2}': '0x0.0p+0',
+        '{Y1}{Y3}': '0x0.0p+0',
+        '{Y2}{Y3}': '0x0.0p+0',
+        '{Y1}{Y2,Y3}': '0x0.0p+0',
+        '{Y2}{Y1,Y3}': '0x0.0p+0',
+        '{Y3}{Y1,Y2}': '0x0.0p+0',
+        '{Y1}': '0x0.0p+0',
+        '{Y2}': '0x0.0p+0',
+        '{Y3}': '0x0.0p+0',
+        '{Y1,Y2}{Y1,Y3}{Y2,Y3}': '0x0.0p+0',
+        '{Y1,Y2}{Y1,Y3}': '0x1.0000000000000p-1',
+        '{Y1,Y2}{Y2,Y3}': '0x0.0p+0',
+        '{Y1,Y3}{Y2,Y3}': '0x0.0p+0',
+        '{Y1,Y2}': '0x0.0p+0',
+        '{Y1,Y3}': '0x0.0p+0',
+        '{Y2,Y3}': '0x0.0p+0',
+        '{Y1,Y2,Y3}': '0x0.0p+0',
+    },
+    ('XORLOSES', None): {
+        '{Y1}{Y2}{Y3}': '0x0.0p+0',
+        '{Y1}{Y2}': '0x0.0p+0',
+        '{Y1}{Y3}': '0x0.0p+0',
+        '{Y2}{Y3}': '0x0.0p+0',
+        '{Y1}{Y2,Y3}': '0x0.0p+0',
+        '{Y2}{Y1,Y3}': '0x0.0p+0',
+        '{Y3}{Y1,Y2}': '0x1.0000000000000p+0',
+        '{Y1}': '0x0.0p+0',
+        '{Y2}': '0x0.0p+0',
+        '{Y3}': '0x0.0p+0',
+        '{Y1,Y2}{Y1,Y3}{Y2,Y3}': '0x0.0p+0',
+        '{Y1,Y2}{Y1,Y3}': '0x0.0p+0',
+        '{Y1,Y2}{Y2,Y3}': '0x0.0p+0',
+        '{Y1,Y3}{Y2,Y3}': '0x0.0p+0',
+        '{Y1,Y2}': '0x0.0p+0',
+        '{Y1,Y3}': '0x0.0p+0',
+        '{Y2,Y3}': '0x0.0p+0',
+        '{Y1,Y2,Y3}': '0x0.0p+0',
+    },
+    ('XORMULTICOAL', None): {
+        '{Y1}{Y2}{Y3}': '0x0.0p+0',
+        '{Y1}{Y2}': '0x0.0p+0',
+        '{Y1}{Y3}': '0x0.0p+0',
+        '{Y2}{Y3}': '0x0.0p+0',
+        '{Y1}{Y2,Y3}': '0x0.0p+0',
+        '{Y2}{Y1,Y3}': '0x0.0p+0',
+        '{Y3}{Y1,Y2}': '0x0.0p+0',
+        '{Y1}': '0x0.0p+0',
+        '{Y2}': '0x0.0p+0',
+        '{Y3}': '0x0.0p+0',
+        '{Y1,Y2}{Y1,Y3}{Y2,Y3}': '0x1.0000000000000p+0',
+        '{Y1,Y2}{Y1,Y3}': '0x0.0p+0',
+        '{Y1,Y2}{Y2,Y3}': '0x0.0p+0',
+        '{Y1,Y3}{Y2,Y3}': '0x0.0p+0',
+        '{Y1,Y2}': '0x0.0p+0',
+        '{Y1,Y3}': '0x0.0p+0',
+        '{Y2,Y3}': '0x0.0p+0',
+        '{Y1,Y2,Y3}': '0x0.0p+0',
+    },
+}
+
+
+@pytest.mark.parametrize("name, r", list(WB_ATOMS))
+def test_pinned_wb_atoms(name, r):
+    d = canonical(name, r)
+    atoms = wb_pid(d, VariableSet.of(d.index_of("T")))
+    assert {label: value.hex() for label, value in atoms.items()} == WB_ATOMS[name, r]

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cipid import ArgumentError, SolverError, solve_lp
+from cipid import ArgumentError, SolverError, simplex, solve_lp
 from cipid.simplex import (
+    _MIN_STACK,
     _STACK,
     LpSolution,
     _Polytope,
@@ -311,14 +312,14 @@ def test_both_forms_of_the_leaving_rule_agree(rows, random):
 def test_drift_within_the_feasibility_tolerance_is_clamped():
     # phase 1 leaves x0 basic at -1e-9, inside the 1e-8 tolerance
     polytope = _Polytope(np.array([[1.0, 1.0]]), np.array([-1e-9]))
-    for sol in [polytope.solve([1.0, 1.0]), *polytope.solve(np.ones((2, 2)))]:
+    for sol in [polytope.solve([1.0, 1.0]), *polytope.solve(np.ones((_MIN_STACK, 2)))]:
         assert sol.status == "optimal" and np.array_equal(sol.x, np.zeros(2))
 
 
 def test_drift_beyond_the_feasibility_tolerance_raises():
     # phase 1 accepts 5e-9 of artificial mass, then pivots x0 in at -5e-7
     polytope = _Polytope(np.array([[0.01, 0.01]]), np.array([-5e-9]))
-    for c in ([1.0, 1.0], np.ones((3, 2))):
+    for c in ([1.0, 1.0], np.ones((_MIN_STACK, 2))):
         with pytest.raises(SolverError, match="-5.000e-07"):
             polytope.solve(c)
 
@@ -335,16 +336,32 @@ def _shifted_polytope(shift):
 
 def test_optimum_that_misses_its_constraints_raises():
     polytope = _shifted_polytope(0.5)
-    for c in ([1.0, 2.0], np.array([[1.0, 2.0], [1.0, 3.0]])):
+    for c in ([1.0, 2.0], np.array([[1.0, 2.0], [1.0, 3.0]] * _MIN_STACK)):
         with pytest.raises(SolverError, match="misses its constraints by 5.000e-01"):
             polytope.solve(c)
 
 
 def test_residual_within_the_feasibility_tolerance_is_accepted():
     polytope = _shifted_polytope(5e-9)
-    for sol in [polytope.solve([1.0, 2.0]), *polytope.solve(np.array([[1.0, 2.0], [1.0, 3.0]]))]:
+    stack = np.array([[1.0, 2.0], [1.0, 3.0]] * _MIN_STACK)
+    for sol in [polytope.solve([1.0, 2.0]), *polytope.solve(stack)]:
         assert sol.status == "optimal"
         assert sol.x.tolist() == [1.0 + 5e-9, 0.0]
+
+
+def test_runner_is_chosen_by_stack_length(monkeypatch):
+    """Fewer than ``_MIN_STACK`` objectives run one at a time on the scalar runner."""
+    stacked, run_stacked = [], simplex._run_stacked
+
+    def counted(tabs, basis):
+        stacked.append(len(tabs))
+        return run_stacked(tabs, basis)
+
+    monkeypatch.setattr(simplex, "_run_stacked", counted)
+    polytope = _Polytope(np.array([[1.0, 1.0]]), np.array([1.0]))
+    for k in range(1, _MIN_STACK + 1):
+        assert len(polytope.solve(np.ones((k, 2)))) == k
+    assert stacked == [_MIN_STACK]
 
 
 def _stack_polytope(rng, bounded, infeasible):
