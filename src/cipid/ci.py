@@ -23,6 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .distribution import (
+    _MAX_CELLS,
     JointDistribution,
     VariableSet,
     _bits,
@@ -36,12 +37,7 @@ from .distribution import (
     _table,
 )
 from .errors import ArgumentError
-from .sources import (
-    CiPartition,
-    SourceCollection,
-    enumerate_ci_partitions,
-    normalize_sources,
-)
+from .sources import CiPartition, SourceCollection, _partition_tree, normalize_sources
 
 
 class PidResult:
@@ -134,9 +130,26 @@ def ci_union_information(
     Every partition is scored on one array of p without building its
     surrogate: given the target the blocks are independent, so
     I_q(A;T) = H_q(A) - sum over blocks b of H(A_b|T), with
-    q(a) = sum over t of p(t) prod_b p(a_b|t).  Block terms are shared
-    between partitions.  The scan stops once a partition reaches I_p,
-    which is then the answer; a lone source reaches it at once.
+    q(a) = sum over t of p(t) prod_b p(a_b|t).
+
+    The partitions are the root-to-leaf paths of one tree of block
+    choices (``sources._partition_tree``).  Before any table is built,
+    the 2^22-cell table cap is checked and then the tree's leaves are
+    counted against the 2^16 partition cap; past either this raises
+    :class:`~cipid.errors.UnsupportedError`.  Each block term is
+    computed once per call.  The walk goes depth first and carries the
+    prefix product p(t) prod p(a_b|t) and the prefix sum of H(A_b|T)
+    down the tree, so each edge of the tree costs one product.  Each
+    leaf's q(a) becomes one row of a stack of at most 2^22 cells, and a
+    full stack gets its entropies from one vectorised sum per row.  A row
+    that holds a zero is summed over its positive entries alone, as every
+    other entropy here is, so each I_q is the same float a
+    partition-by-partition scan gives.
+
+    The scan stops once a stack reaches I_p, which is then the answer; a
+    lone source reaches it at once.  The tree visits the partitions in
+    another order than ``enumerate_ci_partitions`` returns them, but the
+    answer, min(I_p, max over partitions), does not depend on the order.
     """
     _check_target(dist, target)
     norm = normalize_sources(dist, collection)
@@ -145,39 +158,67 @@ def ci_union_information(
     if len(norm) == 1:
         # its one-block partition keeps p itself, so I_q = I_p there
         return i_p
+    # both caps fire before any table is built, the cell cap first
+    layout = target.indices + pooled
+    _dense_shape(dist, layout)
+    tree, n_parts = _partition_tree(norm)
 
     # axis 0 runs over the target states of positive mass, then one axis
     # per pooled variable; a pooled target variable keeps its own axis
-    p = _table(dist, target.indices + pooled)
+    p = _table(dist, layout)
     p = p.reshape(-1, *p.shape[len(target):])
     p_t = p.sum(axis=tuple(range(1, p.ndim)), keepdims=True)
     live = p_t.ravel() > 0.0
     p, p_t = p[live], p_t[live]
     h_t = _bits(p_t)
+    # p(a_b|t) over the pooled axes, and H(A_b|T), once per block
     terms: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
+    for choices in tree.values():
+        for block, _ in choices:
+            if block not in terms:
+                others = tuple(1 + k for k, v in enumerate(pooled) if v not in block)
+                joint = p.sum(axis=others, keepdims=True)
+                terms[block] = (joint / p_t, _bits(joint) - h_t)
 
-    def block_term(block: tuple[int, ...]) -> tuple[np.ndarray, float]:
-        """p(a_b|t) over the pooled axes, and H(A_b|T)."""
-        if block not in terms:
-            others = tuple(1 + k for k, v in enumerate(pooled) if v not in block)
-            joint = p.sum(axis=others, keepdims=True)
-            terms[block] = (joint / p_t, _bits(joint) - h_t)
-        return terms[block]
+    def leaves(rest: tuple[int, ...], q: np.ndarray, h: float):
+        """Each leaf's p(t) prod p(a_b|t) and sum of H(A_b|T) below ``rest``."""
+        for block, left in tree[rest]:
+            cond, h_b = terms[block]
+            if left:
+                yield from leaves(left, q * cond, h + h_b)
+            else:
+                yield q * cond, h + h_b
 
+    # one row per leaf: q(a), and the sum of H(A_b|T) along its path
+    rows = min(n_parts, max(1, _MAX_CELLS // p[0].size))
+    q_a = np.empty((rows, p[0].size))
+    h_cond = np.empty(rows)
     best = -math.inf
-    for part in enumerate_ci_partitions(norm):
-        q = p_t
-        h_cond = 0.0
-        for b in part.blocks:
-            cond, h = block_term(b.indices)
-            q = q * cond
-            h_cond += h
-        i_q = _clamp_nonneg(_bits(q.sum(axis=0)) - h_cond, "mutual information")
-        best = max(best, i_q)
-        if best >= i_p:
-            break
-
+    for k, (q, h) in enumerate(leaves(pooled, p_t, 0.0)):
+        row = k % rows
+        np.add.reduce(q, axis=0, out=q_a[row].reshape(q.shape[1:]))
+        h_cond[row] = h
+        if row == rows - 1 or k == n_parts - 1:
+            i_q = _row_bits(q_a[: row + 1]) - h_cond[: row + 1]
+            best = max(best, *(_clamp_nonneg(v, "mutual information") for v in i_q.tolist()))
+            if best >= i_p:
+                break
     return min(i_p, best)
+
+
+def _row_bits(x: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of ``x``, the same float ``_bits`` gives.
+
+    Rows without a zero share one vectorised sum; a row with a zero goes
+    through ``_bits``, which sums its positive entries alone.
+    """
+    full = (x > 0.0).all(axis=1)
+    out = np.empty(len(x))
+    f = x[full]
+    out[full] = -(f * np.log2(f)).sum(axis=1)
+    for k in np.flatnonzero(~full):
+        out[k] = _bits(x[k])
+    return out
 
 
 def ci_synergy(

@@ -11,7 +11,10 @@ This module also enumerates the conditional-independence partitions of
 the union of a collection: set partitions of the pooled variables in
 which every block fits inside at least one listed source.  The
 all-singletons partition always qualifies, so the enumeration is never
-empty.
+empty.  The partitions form one tree of block choices, shared by
+``enumerate_ci_partitions`` and ``ci.ci_union_information``; its leaves
+are counted against a cap of 2^16 partitions before any is listed or
+scored.
 """
 
 from __future__ import annotations
@@ -173,43 +176,83 @@ class CiPartition:
             seen |= set(b.indices)
 
 
+# tree[rest]: (block, variables left after it) for each admissible block
+# holding rest[0], where rest is a tuple of pooled variables still to place
+_Tree = dict[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]
+
+
+def _partition_tree(collection: SourceCollection) -> tuple[_Tree, int]:
+    """The CI partitions of a collection as a tree of block choices, and its leaf count.
+
+    ``tree[rest]`` lists, for a tuple ``rest`` of pooled variables still
+    to place, every block that holds ``rest[0]`` and fits in a source,
+    each with the variables left after it.  A partition is one path from
+    the whole pooled tuple down to ``()``, so the leaves are counted per
+    entry without listing any partition.  Past 2^16 leaves this raises
+    :class:`~cipid.errors.UnsupportedError` as soon as the count gets
+    there.
+    """
+    member_sets = [set(s.members.indices) for s in collection]
+    tree: _Tree = {}
+    leaves = {(): 1}
+
+    def choices(rest: tuple[int, ...]):
+        # the block holding the first remaining variable is chosen
+        # first, so each partition is reached by exactly one path
+        first, others = rest[0], rest[1:]
+        seen = set()
+        for m in member_sets:
+            if first in m:
+                inside = [v for v in others if v in m]
+                for r in range(len(inside) + 1):
+                    for c in itertools.combinations(inside, r):
+                        if c not in seen:
+                            seen.add(c)
+                            yield (first,) + c, tuple(v for v in others if v not in c)
+
+    def count(rest: tuple[int, ...]) -> int:
+        if rest not in leaves:
+            # every choice adds at least one leaf, so a node is listed
+            # only as far as the cap
+            entries, total = [], 0
+            for block, left in choices(rest):
+                entries.append((block, left))
+                total += count(left)
+                if total > _MAX_PARTITIONS:
+                    raise UnsupportedError(
+                        f"the sources admit more than {_MAX_PARTITIONS} CI partitions, beyond the cap"
+                    )
+            tree[rest] = tuple(entries)
+            leaves[rest] = total
+        return leaves[rest]
+
+    return tree, count(tuple(collection.union().indices))
+
+
 def enumerate_ci_partitions(collection: SourceCollection) -> tuple[CiPartition, ...]:
     """All partitions of the pooled variables into blocks that fit in a source.
 
     Returned in a deterministic order: fewer blocks first, then by the
     sorted block tuples.  Always non-empty, because single-variable
-    blocks fit inside whichever source mentions the variable.
+    blocks fit inside whichever source mentions the variable.  Each
+    block's witness is the first listed source that holds it.
+
+    The partitions are read off the tree of ``_partition_tree``, whose
+    leaves are counted first: past 2^16 partitions this raises
+    :class:`~cipid.errors.UnsupportedError` before any is built.
+    ``ci_union_information`` walks that tree itself, in its own order.
     """
-    pooled = tuple(collection.union().indices)
+    tree, _ = _partition_tree(collection)
+    tails: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {(): [()]}
+
+    def walk(rest: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+        if rest not in tails:
+            tails[rest] = [(b,) + tail for b, left in tree[rest] for tail in walk(left)]
+        return tails[rest]
+
     member_sets = [set(s.members.indices) for s in collection]
-
-    def grow(rest: tuple[int, ...]):
-        # The block holding the smallest remaining variable is chosen
-        # first, so every partition is reached exactly once.
-        if not rest:
-            yield ()
-            return
-        first, others = rest[0], rest[1:]
-        blocks = set()
-        for m in member_sets:
-            if first in m:
-                inside = [v for v in others if v in m]
-                for r in range(len(inside) + 1):
-                    blocks.update((first,) + c for c in itertools.combinations(inside, r))
-        for b in blocks:
-            left = tuple(v for v in others if v not in b)
-            for tail in grow(left):
-                yield (b,) + tail
-
-    parts = []
-    for part in grow(pooled):
-        parts.append(part)
-        if len(parts) > _MAX_PARTITIONS:
-            raise UnsupportedError(
-                f"the sources admit more than {_MAX_PARTITIONS} CI partitions, beyond the cap"
-            )
     out = []
-    for part in sorted(parts, key=lambda p: (len(p), p)):
+    for part in sorted(walk(tuple(collection.union().indices)), key=lambda p: (len(p), p)):
         blocks = tuple(VariableSet(b) for b in part)
         witness = tuple(
             next(i for i, m in enumerate(member_sets) if set(b) <= m) for b in part

@@ -313,6 +313,26 @@ def test_criterion_5_convexity_refutations():
     cells.verdict()
 
 
+def test_criterion_5_alternative_readings():
+    """Not part of the gate: the readings that do give criterion 5's values.
+
+    The bundled ADAPTED_XOR midpoint 0.552 is s_ci at r = 0.4, not at
+    r = 0.25.  The bundled ADAPTED_XOR_V2 values, 0.338 at r = 0.25 and
+    0.3095 for the endpoint average, sit near delta_I rather than s_d.
+    The criterion keeps its own expected values and tolerances (README).
+    """
+    d = canonical("ADAPTED_XOR", 0.4)
+    t = target_of(d)
+    assert abs(ci_synergy(d, t, rest_sources(d, t)) - 0.552190) <= 5e-7
+
+    delta = {}
+    for r in (0.0, 0.25, 0.5):
+        d = canonical("ADAPTED_XOR_V2", r)
+        delta[r] = delta_i_synergy(d, target_of(d))
+    assert abs(delta[0.25] - 0.337166) <= 5e-7
+    assert abs(0.5 * (delta[0.0] + delta[0.5]) - 0.305612) <= 5e-7
+
+
 # ---------------------------------------------------------------------------
 # criterion 6: the reduced-OR family
 # ---------------------------------------------------------------------------

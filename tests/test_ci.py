@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from cipid import (
 )
 from cipid.ci import PidResult
 from cipid.distribution import _mi_lenient
-from cipid.sources import CiPartition, SourceCollection
+from cipid.sources import CiPartition, SourceCollection, _partition_tree
 
 
 def singleton_partition(dist, names):
@@ -144,15 +145,17 @@ class TestUnionInformation:
 
     def test_too_many_partitions_rejected(self):
         """Two disjoint groups of 10 binary variables fit in 2^21 cells but
-        admit Bell(10)^2 partitions, past the cap of 2^16."""
+        admit Bell(10)^2 partitions, past the cap of 2^16.  The count
+        comes before any table is built."""
         zero, one = ("0",) * 10, ("1",) * 10
         rows = [("0",) + zero + zero, ("0",) + one + zero,
                 ("1",) + zero + one, ("1",) + zero + zero]
         d = JointDistribution(["T"] + [f"Y{i}" for i in range(1, 21)], {r: 0.25 for r in rows})
         coll = SourceCollection.of(range(1, 11), range(11, 21))
         assert len(normalize_sources(d, coll)) == 2
-        with pytest.raises(UnsupportedError, match=str(2**16)):
-            ci_union_information(d, VariableSet.of(0), coll)
+        with mock.patch("cipid.ci._table", side_effect=AssertionError("a table was built")):
+            with pytest.raises(UnsupportedError, match=str(2**16)):
+                ci_union_information(d, VariableSet.of(0), coll)
 
 
 def reference_union(dist, target, collection):
@@ -172,10 +175,13 @@ def reference_union(dist, target, collection):
 @st.composite
 def union_cases(draw):
     """Dirichlet pmfs with about a fifth of their cells zeroed, one- or
-    two-variable targets, and two or three predictor groups.  The first
-    group may also hold a target variable."""
+    two-variable targets, and two to four predictor groups of up to four
+    predictors.  The first group may also hold a target variable.  With
+    six to eight variables every alphabet is binary, and a collection
+    may admit a few hundred partitions."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    arities = [draw(st.integers(2, 3)) for _ in range(draw(st.integers(3, 5)))]
+    n_vars = draw(st.integers(3, 8))
+    arities = [draw(st.integers(2, 3 if n_vars <= 5 else 2)) for _ in range(n_vars)]
     p = rng.dirichlet(np.ones(math.prod(arities))) * (rng.random(math.prod(arities)) > 0.2)
     assume(p.sum() > 0)
     cells = itertools.product(*[[str(s) for s in range(a)] for a in arities])
@@ -187,7 +193,7 @@ def union_cases(draw):
     target = tuple(range(draw(st.integers(1, 2))))
     predictors = st.sampled_from(range(len(target), len(arities)))
     groups = draw(
-        st.lists(st.frozensets(predictors, min_size=1, max_size=2), min_size=2, max_size=3, unique=True)
+        st.lists(st.frozensets(predictors, min_size=1, max_size=4), min_size=2, max_size=4, unique=True)
     )
     extra = draw(st.sampled_from((None,) + target))
     if extra is not None:
@@ -202,6 +208,28 @@ def test_union_matches_the_surrogate_definition(case):
     assert ci_union_information(dist, target, coll) == pytest.approx(
         reference_union(dist, target, coll), abs=1e-9
     )
+
+
+@given(union_cases())
+@settings(max_examples=100, deadline=None)
+def test_partitions_are_counted_before_they_are_listed(case):
+    dist, _, coll = case
+    norm = normalize_sources(dist, coll)
+    _, count = _partition_tree(norm)
+    assert count == len(enumerate_ci_partitions(norm))
+
+
+@given(union_cases())
+@settings(max_examples=60, deadline=None)
+def test_a_small_stack_gives_the_same_union(case):
+    """With room for two rows at a time the scan scores many stacks,
+    and may stop early, yet the union is the same float."""
+    dist, target, coll = case
+    whole = ci_union_information(dist, target, coll)
+    pooled = normalize_sources(dist, coll).union().indices
+    cells = math.prod(len(dist.alphabets[v]) for v in pooled)
+    with mock.patch("cipid.ci._MAX_CELLS", 2 * cells):
+        assert ci_union_information(dist, target, coll) == whole
 
 
 class TestSynergy:

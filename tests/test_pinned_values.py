@@ -10,6 +10,11 @@ moves any bit fails here.
 
 ``WB_ATOMS`` pins every ``wb_pid`` atom on the same entries, as computed
 when the lattice was a set of (i, j) pairs rebuilt on every call.
+
+``CI_PINS`` pins ``i_cup_ci`` and ``s_ci`` on the same entries, with
+singleton sources and, on three predictors, with {Y1,Y2},{Y2,Y3}, as
+computed when every partition was built as a ``CiPartition`` and scored
+on its own.  Most entries have zero cells, so their surrogates do too.
 """
 
 import pytest
@@ -18,6 +23,8 @@ from cipid import (
     SourceCollection,
     VariableSet,
     canonical,
+    ci_synergy,
+    ci_union_information,
     degradation_redundancy,
     dep_synergy,
     vk_union_information,
@@ -362,3 +369,110 @@ def test_pinned_wb_atoms(name, r):
     d = canonical(name, r)
     atoms = wb_pid(d, VariableSet.of(d.index_of("T")))
     assert {label: value.hex() for label, value in atoms.items()} == WB_ATOMS[name, r]
+
+
+CI_PINS = {
+    ('XOR', None): {
+        'i_cup_ci': '0x0.0p+0',
+        's_ci': '0x1.0000000000000p+0',
+    },
+    ('AND', None): {
+        'i_cup_ci': '0x1.14ea9070aed42p-1',
+        's_ci': '0x1.14ea9070aed44p-2',
+    },
+    ('COPY', None): {
+        'i_cup_ci': '0x1.0000000000000p+1',
+        's_ci': '0x0.0p+0',
+    },
+    ('TWEAKED_COPY', None): {
+        'i_cup_ci': '0x1.95c01a39fbd68p+0',
+        's_ci': '0x0.0p+0',
+    },
+    ('BOOM', None): {
+        'i_cup_ci': '0x1.09ba7cc22cbbcp+0',
+        's_ci': '0x1.67ae5b02684c0p-4',
+    },
+    ('ADAPTED_REDUCED_OR', 0.25): {
+        'i_cup_ci': '0x1.18fba684fe764p-1',
+        's_ci': '0x1.585079e22b9d0p-3',
+    },
+    ('ADAPTED_REDUCED_OR', 0.5): {
+        'i_cup_ci': '0x1.18fba684fe764p-1',
+        's_ci': '0x0.0p+0',
+    },
+    ('TARGET_MONO_AND', None): {
+        'i_cup_ci': '0x1.9f5fd8a9063e4p-1',
+        's_ci': '0x0.0p+0',
+        'i_cup_ci_overlap': '0x1.9f5fd8a9063e4p-1',
+        's_ci_overlap': '0x0.0p+0',
+    },
+    ('TARGET_MONO_CI', None): {
+        'i_cup_ci': '0x1.d7d4aaf2250c0p-1',
+        's_ci': '0x0.0p+0',
+        'i_cup_ci_overlap': '0x1.d7d4aaf2250c0p-1',
+        's_ci_overlap': '0x0.0p+0',
+    },
+    ('ADAPTED_XOR', 0.25): {
+        'i_cup_ci': '0x1.d53757918ba08p-3',
+        's_ci': '0x1.db3f73c585784p-2',
+    },
+    ('ADAPTED_XOR', 0.5): {
+        'i_cup_ci': '0x1.8296309481650p-4',
+        's_ci': '0x1.3858ccc6f168ep-1',
+    },
+    ('ADAPTED_XOR_V2', 0.25): {
+        'i_cup_ci': '0x1.3af65bbd7fd90p-4',
+        's_ci': '0x1.8acb6606dcf68p-2',
+    },
+    ('ADAPTED_XOR_V2', 0.5): {
+        'i_cup_ci': '0x1.d29bf7d2baa00p-6',
+        's_ci': '0x1.ece9d42e96804p-2',
+    },
+    ('RDNXOR', None): {
+        'i_cup_ci': '0x1.0000000000000p+0',
+        's_ci': '0x1.0000000000000p+0',
+    },
+    ('RDNUNQXOR', None): {
+        'i_cup_ci': '0x1.8000000000000p+1',
+        's_ci': '0x1.0000000000000p+0',
+    },
+    ('XORDUPLICATE', None): {
+        'i_cup_ci': '0x0.0p+0',
+        's_ci': '0x1.0000000000000p+0',
+        'i_cup_ci_overlap': '0x1.0000000000000p+0',
+        's_ci_overlap': '0x0.0p+0',
+    },
+    ('ANDDUPLICATE', None): {
+        'i_cup_ci': '0x1.14ea9070aed42p-1',
+        's_ci': '0x1.14ea9070aed44p-2',
+        'i_cup_ci_overlap': '0x1.9f5fd8a9063e4p-1',
+        's_ci_overlap': '0x0.0p+0',
+    },
+    ('XORLOSES', None): {
+        'i_cup_ci': '0x1.0000000000000p+0',
+        's_ci': '0x0.0p+0',
+        'i_cup_ci_overlap': '0x1.0000000000000p+0',
+        's_ci_overlap': '0x0.0p+0',
+    },
+    ('XORMULTICOAL', None): {
+        'i_cup_ci': '0x0.0p+0',
+        's_ci': '0x1.0000000000000p+0',
+        'i_cup_ci_overlap': '0x1.0000000000000p+0',
+        's_ci_overlap': '0x0.0p+0',
+    },
+}
+
+
+@pytest.mark.parametrize("name, r", list(CI_PINS))
+def test_pinned_ci_values(name, r):
+    d = canonical(name, r)
+    t = VariableSet.of(d.index_of("T"))
+    src = [i for i in range(d.n_vars) if i not in t]
+    colls = {"": SourceCollection.singletons(src)}
+    if len(src) == 3:
+        colls["_overlap"] = SourceCollection.of(src[:2], src[1:])
+    got = {}
+    for suffix, coll in colls.items():
+        got["i_cup_ci" + suffix] = ci_union_information(d, t, coll).hex()
+        got["s_ci" + suffix] = ci_synergy(d, t, coll).hex()
+    assert got == CI_PINS[name, r]

@@ -1,11 +1,14 @@
 """Source collections, normalization, and partition enumeration."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cipid import (
     ArgumentError,
     JointDistribution,
+    UnsupportedError,
     VariableSet,
     canonical,
     enumerate_ci_partitions,
@@ -116,12 +119,50 @@ class TestEnumeratePartitions:
         b = enumerate_ci_partitions(coll)
         assert [p.blocks for p in a] == [p.blocks for p in b]
 
+    def test_order_and_witnesses_are_pinned(self):
+        """Blocks and witnesses, in order, as the partition-by-partition
+        enumerator listed them."""
+        pinned = {
+            ((1, 2), (1, 3), (2, 3)): [
+                (((1,), (2, 3)), (0, 2)), (((1, 2), (3,)), (0, 1)),
+                (((1, 3), (2,)), (1, 0)), (((1,), (2,), (3,)), (0, 0, 1)),
+            ],
+            ((1, 2), (2, 3)): [
+                (((1,), (2, 3)), (0, 1)), (((1, 2), (3,)), (0, 1)),
+                (((1,), (2,), (3,)), (0, 0, 1)),
+            ],
+            ((1,), (2,)): [(((1,), (2,)), (0, 1))],
+            ((1, 2, 3), (2, 3, 4), (1, 4)): [
+                (((1,), (2, 3, 4)), (0, 1)), (((1, 2), (3, 4)), (0, 1)),
+                (((1, 2, 3), (4,)), (0, 1)), (((1, 3), (2, 4)), (0, 1)),
+                (((1, 4), (2, 3)), (2, 0)), (((1,), (2,), (3, 4)), (0, 0, 1)),
+                (((1,), (2, 3), (4,)), (0, 0, 1)), (((1,), (2, 4), (3,)), (0, 1, 0)),
+                (((1, 2), (3,), (4,)), (0, 0, 1)), (((1, 3), (2,), (4,)), (0, 0, 1)),
+                (((1, 4), (2,), (3,)), (2, 0, 0)), (((1,), (2,), (3,), (4,)), (0, 0, 0, 1)),
+            ],
+        }
+        for groups, want in pinned.items():
+            got = [
+                (tuple(b.indices for b in p.blocks), p.witness)
+                for p in enumerate_ci_partitions(SourceCollection.of(*groups))
+            ]
+            assert got == want, groups
+
     def test_twelve_singletons_give_one_partition(self):
         """Bell(12) set partitions exist, but only one is admissible."""
         parts = enumerate_ci_partitions(SourceCollection.singletons(range(12)))
         assert len(parts) == 1
         assert [b.indices for b in parts[0].blocks] == [(i,) for i in range(12)]
         assert parts[0].witness == tuple(range(12))
+
+    def test_one_big_source_is_rejected_at_once(self):
+        """A lone source of 20 variables has Bell(20), about 5.2e13,
+        partitions, and 2^19 blocks hold its first variable.  The count
+        stops at the cap without listing them all."""
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedError, match=str(2**16)):
+            enumerate_ci_partitions(SourceCollection.of(range(20)))
+        assert time.perf_counter() - start < 0.5
 
 
 def all_set_partitions(items):
