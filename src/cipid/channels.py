@@ -1,14 +1,15 @@
 """Channel orderings and the optimization-based union and redundancy measures.
 
-Two optimizers live here.  ``degradation_redundancy`` climbs a convex
+Two optimizers live here, and each reports a bracket [lower, upper] that
+holds the true optimum.  ``degradation_redundancy`` climbs a convex
 objective over the polytope of channels that every source channel can
 be garbled into, hopping between linear-program vertices along the
-gradient, so the reported value is a lower bound on the true supremum
-and random restarts guard against poor local vertices.
+gradient; its value is reached by a garbling, so it is the lower end,
+and min over sources of I(Y_i;T) is the upper end.
 ``vk_union_information`` minimizes joint dependence over couplings with
-fixed per-source conditionals; that problem is convex, so a log-barrier
-Newton method reaches the global minimum, and a Frank-Wolfe gap
-certifies how far the reported value can be above it.
+fixed per-source conditionals, a convex problem; its value is reached by
+a coupling, so it is the upper end, and the value minus its Frank-Wolfe
+gap is the lower end.
 """
 
 from __future__ import annotations
@@ -66,28 +67,26 @@ class DegradationWitness:
 
 @dataclass(frozen=True)
 class OptimizationReport:
-    """Outcome of an optimization-defined measure.
+    """Outcome of an optimization-defined measure, with its bracket.
 
     ``value`` is in bits.  ``argument`` is the optimizing object (a
     channel for the redundancy search, a joint distribution for the
-    union minimization).  ``certificate`` is the analytic bound the
-    value was checked against: an upper bound for maximizations, a
-    lower bound for minimizations.  ``lower`` is a lower bound on the
-    optimum of a minimization (the value minus its Frank-Wolfe gap), or
-    None where the solver gives none.  It is proven only up to the
-    simplex's absolute reduced-cost tolerance of 1e-10 per certificate
-    LP, not up to rounding.  ``converged`` reports
-    whether the solver stopped by its own criterion rather than an
-    iteration cap; for the union minimization it means the gap is
-    within 1e-9.
+    union minimization).  ``converged`` reports whether the solver
+    stopped by its own criterion rather than an iteration cap.  The true
+    optimum lies in [``lower``, ``upper``], and ``value`` is one of the
+    two ends.  For the redundancy search ``lower`` is the value and
+    ``upper`` is min over sources of I(Y_i;T).  For the union
+    minimization ``upper`` is the value and ``lower`` is the value minus
+    its Frank-Wolfe gap, proven only up to the simplex's absolute
+    reduced-cost tolerance of 1e-10 per certificate LP, not up to
+    rounding; there ``converged`` means the gap is within 1e-9.
     """
 
     value: float
     argument: object
-    restarts_used: int
-    certificate: float
     converged: bool
-    lower: float | None = None
+    lower: float
+    upper: float
 
     def __post_init__(self):
         if self.converged and not math.isfinite(self.value):
@@ -155,8 +154,7 @@ def degradation_redundancy(
     (0, 0, 0), (1, 1, 1) and 1/6 at (0, 2, 2), (1, 2, 2), {Y1} gives
     0.4591 < I(Y1;T) = 0.6667, which three letters reach.
 
-    The reported value is a lower bound on the supremum; the report's
-    certificate is the upper bound min over sources of I(Y_i;T).
+    The report's bracket is [value, min over sources of I(Y_i;T)].
     """
     _check_target(dist, target)
     if restarts < 0:
@@ -256,13 +254,12 @@ def degradation_redundancy(
     argument = Channel(
         channels[0].input_states, w, tuple(range(n_out)), kq
     )
-    certificate = min(ch.mutual_information() for ch in channels)
     return OptimizationReport(
         value=best_val,
         argument=argument,
-        restarts_used=restarts + 1,
-        certificate=certificate,
         converged=best_converged,
+        lower=best_val,
+        upper=min(ch.mutual_information() for ch in channels),
     )
 
 
@@ -380,11 +377,10 @@ def vk_union_information(
 
     The gap is <grad f(x), x> - min over couplings s of <grad f(x), s>,
     one linear program per target state; by convexity the minimum is at
-    least the value minus the gap, which the report gives as ``lower``,
-    and ``converged`` means the gap is within 1e-9.  The report's
-    certificate is the lower bound max over sources of I(A_i;T); its
-    argument is the optimizing joint distribution over the pooled
-    sources and the target.
+    least the value minus the gap.  The report's bracket is
+    [value - gap, value], and ``converged`` means the gap is within
+    1e-9.  Its argument is the optimizing joint distribution over the
+    pooled sources and the target.
     """
     _check_target(dist, target)
     for s in collection:
@@ -475,37 +471,29 @@ def vk_union_information(
         dist, sorted(t_idx + pooled), joint.transpose(np.argsort(t_idx + pooled))
     )
 
-    certificate = max(
-        _mi_lenient(dist, s.members.indices, t_idx) for s in collection
-    )
     value = _channel_information(w, best_x)
     return OptimizationReport(
         value=value,
         argument=argument,
-        restarts_used=1,
-        certificate=certificate,
         converged=gap <= _GAP_TOL,
         lower=value - gap,
+        upper=value,
     )
 
 
-def _union_value(
+def _union_report(
     dist: JointDistribution, target: VariableSet, collection: SourceCollection
-) -> float:
-    """Minimized union information of the normalized collection; SolverError unless converged."""
-    report = vk_union_information(dist, target, normalize_sources(dist, collection))
-    if not report.converged:
-        raise SolverError(
-            f"union minimization stopped with Frank-Wolfe gap {report.value - report.lower:.3e}"
-        )
-    return report.value
+) -> OptimizationReport:
+    """The union minimization of the normalized collection."""
+    return vk_union_information(dist, target, normalize_sources(dist, collection))
 
 
-def _redundancy_value(report: OptimizationReport) -> float:
-    """The value of a ``degradation_redundancy`` report; SolverError unless converged."""
+def _converged_value(report: OptimizationReport, what: str) -> float:
+    """``report.value``; SolverError naming its bracket unless the solve converged."""
     if not report.converged:
         raise SolverError(
-            f"redundancy climb hit its iteration cap still rising, at {report.value:.6f} bits"
+            f"{what} stopped unconverged at its iteration cap: the optimum lies in "
+            f"[{report.lower:.6f}, {report.upper:.6f}] bits, gap {report.upper - report.lower:.3e}"
         )
     return report.value
 
@@ -521,10 +509,11 @@ def s_d(
     singleton source.  The collection is normalized before the solve.
     Values in a small negative rounding band are clamped to zero;
     solver failures propagate, and an unconverged minimization raises
-    :class:`~cipid.errors.SolverError` with its Frank-Wolfe gap.
+    :class:`~cipid.errors.SolverError` naming its bracket.
     """
     src = _source_variables(dist, target)
     if collection is None:
         collection = SourceCollection.singletons(src)
     i_total = _mi_lenient(dist, src, target.indices)
-    return _clamp_nonneg(i_total - _union_value(dist, target, collection), "synergy")
+    union = _converged_value(_union_report(dist, target, collection), "union minimization")
+    return _clamp_nonneg(i_total - union, "synergy")

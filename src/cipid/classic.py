@@ -254,9 +254,12 @@ def wb_pid(dist: JointDistribution, target: VariableSet) -> PidResult:
 
 
 def wb_synergy(dist: JointDistribution, target: VariableSet) -> float:
-    """The atom at the top lattice node, all predictors pooled as one source."""
+    """The atom at the top lattice node, all predictors pooled as one source.
+
+    Atoms are non-negative, so rounding below zero is clamped to zero.
+    """
     _, lat, atoms = _wb_atoms(dist, target)
-    return atoms[lat.top]
+    return _clamp_nonneg(atoms[lat.top], "synergy")
 
 
 def wb_union_information(dist: JointDistribution, target: VariableSet) -> float:

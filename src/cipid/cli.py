@@ -20,8 +20,8 @@ from . import __version__
 from .axioms import run_axiom_suite
 from .channels import (
     Channel,
-    _redundancy_value,
-    _union_value,
+    _converged_value,
+    _union_report,
     degradation_leq,
     degradation_redundancy,
     s_d,
@@ -93,9 +93,11 @@ MEASURES: dict[str, Callable[[_Ctx], float]] = {
     "s_wb": lambda c: wb_synergy(c.dist, c.target),
     "i_cup_wb": lambda c: wb_union_information(c.dist, c.target),
     "s_d": lambda c: s_d(c.dist, c.target, c.collection),
-    "i_cup_vk": lambda c: _union_value(c.dist, c.target, c.collection),
-    "i_cap_d": lambda c: _redundancy_value(
-        degradation_redundancy(c.dist, c.target, c.collection, seed=c.seed)
+    "i_cup_vk": lambda c: _converged_value(
+        _union_report(c.dist, c.target, c.collection), "union minimization"
+    ),
+    "i_cap_d": lambda c: _converged_value(
+        degradation_redundancy(c.dist, c.target, c.collection, seed=c.seed), "redundancy climb"
     ),
     "s_dep": lambda c: dep_synergy(c.dist, c.target)["S"],
 }
@@ -148,6 +150,14 @@ def _check_measures(names: list[str]) -> None:
             )
 
 
+def _fmt(value) -> str:
+    """Six decimals, with a value that rounds to zero printed unsigned; yes/no for a bool."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    text = f"{value:.6f}"
+    return "0.000000" if text == "-0.000000" else text
+
+
 def cmd_measure(args) -> int:
     _check_measures(args.measure)
     dist = _resolve_dist(args.dist, args.r)
@@ -155,7 +165,7 @@ def cmd_measure(args) -> int:
     collection = _resolve_sources(dist, args.sources, target)
     ctx = _Ctx(dist, target, collection, args.seed)
     for name in args.measure:
-        print(f"{name}\t{ctx.value(name):.6f}")
+        print(f"{name}\t{_fmt(ctx.value(name))}")
     return 0
 
 
@@ -306,12 +316,6 @@ def _row_value(how, seed: int, earlier: list, contexts: dict):
     return values[0] if len(values) == 1 else sum(values) / len(values)
 
 
-def _fmt(expected) -> str:
-    if isinstance(expected, bool):
-        return "yes" if expected else "no"
-    return f"{expected:.6f}"
-
-
 def cmd_reproduce(args) -> int:
     any_fail = False
     header = f"{'case':<18} {'measure':<26} {'computed':>12} {'expected':>12}  status"
@@ -387,7 +391,7 @@ def cmd_sweep(args) -> int:
         dist = canonical(args.family, r)
         target = _resolve_target(dist, None, f"corpus:{args.family}")
         ctx = _Ctx(dist, target, _resolve_sources(dist, None, target), args.seed)
-        rows.append([f"{r:g}"] + [f"{ctx.value(m):.6f}" for m in args.measure])
+        rows.append([f"{r:g}"] + [_fmt(ctx.value(m)) for m in args.measure])
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r"] + list(args.measure))

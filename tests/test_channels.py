@@ -105,7 +105,7 @@ class TestDegradationRedundancy:
         assert np.allclose(q.matrix.sum(axis=1), 1.0, atol=1e-9)
 
     def test_value_never_exceeds_certificate(self, boom_redundancy):
-        assert boom_redundancy.value <= boom_redundancy.certificate + 1e-9
+        assert boom_redundancy.value <= boom_redundancy.upper + 1e-9
 
     def test_argument_achieves_value(self, boom_redundancy):
         assert boom_redundancy.argument.mutual_information() == pytest.approx(
@@ -135,7 +135,7 @@ class TestDegradationRedundancy:
         )
         assert two.value == pytest.approx(0.31127812445913283, abs=1e-9)
         assert three.value == pytest.approx(two.value, abs=1e-9)
-        assert three.value <= three.certificate + 1e-9
+        assert three.value <= three.upper + 1e-9
 
     def test_negative_seed_rejected(self):
         d = canonical("AND")
@@ -293,8 +293,9 @@ class TestCouplingMinimization:
         coll = normalize_sources(d, pair_collection(d))
         rep = vk_union_information(d, target_of(d), coll)
         assert rep.value == pytest.approx(0.311278, abs=1e-4)
-        want = mutual_information(d, VariableSet.of(d.index_of("Y1")), target_of(d))
-        assert rep.certificate == pytest.approx(want, abs=1e-12)
+        # the analytic lower bound max_i I(Y_i;T), which AND reaches
+        want = max(mutual_information(d, d.varset(name), target_of(d)) for name in ("Y1", "Y2"))
+        assert rep.lower - 1e-12 <= want <= rep.upper + 1e-12
         assert rep.value == pytest.approx(want, abs=1e-4)
         assert rep.converged
 
@@ -327,7 +328,7 @@ class TestCouplingMinimization:
         got = mutual_information(q, src, VariableSet.of(q.index_of("T")))
         assert got == pytest.approx(rep.value, abs=1e-6)
         # both sources carry the full bit, so the coupling cannot go lower
-        assert rep.value == pytest.approx(rep.certificate, abs=1e-6)
+        assert rep.value == pytest.approx(mutual_information(d, d.varset("Y1"), t), abs=1e-6)
 
     def test_projection_fault_input_is_solved(self):
         """A 3x2x2 input on which the old projected descent left the constraint set."""
@@ -429,6 +430,58 @@ def test_optimizer_entry_points_take_no_solver_settings():
         assert list(inspect.signature(fn).parameters) == names, fn.__name__
 
 
+# float.hex of i_cap_d's upper end, min over singleton sources of
+# I(Y_i;T), on every corpus entry with two or three predictors, as
+# computed when the report called it its certificate
+I_CAP_D_UPPER = {
+    ('XOR', None): '0x0.0p+0',
+    ('AND', None): '0x1.3ebfb1520c7c6p-2',
+    ('COPY', None): '0x1.0000000000000p+0',
+    ('TWEAKED_COPY', None): '0x1.d62adf1ea257ap-1',
+    ('BOOM', None): '0x1.5555555555554p-1',
+    ('ADAPTED_REDUCED_OR', 0.25): '0x1.3ebfb1520c7c6p-2',
+    ('ADAPTED_REDUCED_OR', 0.5): '0x1.3ebfb1520c7c6p-2',
+    ('TARGET_MONO_AND', None): '0x1.3ebfb1520c7c6p-2',
+    ('TARGET_MONO_CI', None): '0x1.64935e63dd343p-2',
+    ('COPY_XOR_TARGETS', None): '0x1.0000000000000p+0',
+    ('ADAPTED_XOR', 0.25): '0x1.fcf3def4bd45ep-4',
+    ('ADAPTED_XOR', 0.5): '0x1.8fba684fe7644p-5',
+    ('ADAPTED_XOR_V2', 0.25): '0x1.42c7cf387991ep-5',
+    ('ADAPTED_XOR_V2', 0.5): '0x1.d72744c29522cp-7',
+    ('RDNXOR', None): '0x1.0000000000000p+0',
+    ('RDNUNQXOR', None): '0x1.0000000000000p+1',
+    ('XORDUPLICATE', None): '0x0.0p+0',
+    ('ANDDUPLICATE', None): '0x1.3ebfb1520c7c6p-2',
+    ('XORLOSES', None): '0x0.0p+0',
+    ('XORMULTICOAL', None): '0x0.0p+0',
+}
+
+
+@pytest.mark.parametrize("name, r", list(I_CAP_D_UPPER))
+def test_reports_bracket_their_value(name, r):
+    """i_cap_d with singleton sources, and i_cup_vk with singleton sources
+    and, on three predictors, {Y1,Y2},{Y2,Y3}: each value lies in its
+    report's [lower, upper], at the lower end for i_cap_d and at the
+    upper end for i_cup_vk."""
+    d = canonical(name, r)
+    t = d.varset(*CORPUS[name].default_target.split(","))
+    src = _source_variables(d, t)
+    single = SourceCollection.singletons(src)
+    redundancy = degradation_redundancy(d, t, single)
+    assert redundancy.lower == redundancy.value
+    assert redundancy.upper.hex() == I_CAP_D_UPPER[name, r]
+    colls = [single]
+    if len(src) == 3:
+        colls.append(SourceCollection.of(src[:2], src[1:]))
+    reports = [redundancy]
+    for coll in colls:
+        union = vk_union_information(d, t, normalize_sources(d, coll))
+        assert union.upper == union.value
+        reports.append(union)
+    for rep in reports:
+        assert rep.lower - 1e-9 <= rep.value <= rep.upper + 1e-9
+
+
 def projection_fault_pmf():
     counts = [59, 142, 90, 33, 189, 2, 1, 196, 223, 1, 63, 1]
     cells = itertools.product(range(3), range(2), range(2))
@@ -461,7 +514,8 @@ def test_coupling_certificate(case):
     if rep.converged:
         assert rep.value - rep.lower <= 1e-8
     total = mutual_information(d, VariableSet(tuple(range(1, d.n_vars))), t)
-    assert rep.certificate - 1e-9 <= rep.value <= total + 1e-9
+    analytic = max(mutual_information(d, s.members, t) for s in coll)
+    assert analytic - 1e-9 <= rep.value == rep.upper <= total + 1e-9
     # the argument keeps every per-source conditional p(a_i|t)
     q = rep.argument
     p_t = _table(d, (0,))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cipid import (
     ArgumentError,
     IterationLimitError,
+    JointDistribution,
     UnsupportedError,
     VariableSet,
     canonical,
@@ -201,6 +202,16 @@ class TestWbPid:
         for name, want in expected.items():
             d = canonical(name)
             assert wb_synergy(d, target_of(d)) == pytest.approx(want, abs=5e-4), name
+
+    def test_top_atom_rounding_is_clamped(self):
+        """Draw 811 of axioms.random_distribution(default_rng(5)), whose
+        top atom came out -1.1e-16."""
+        d = JointDistribution(("T", "Y1", "Y2"), {
+            (0, 0, 0): 0.1640874982365702, (0, 1, 1): 0.43275041731840264,
+            (1, 0, 0): 0.24001211642934253, (1, 2, 0): 0.0844620926279495,
+            (1, 2, 1): 0.0786878753877352,
+        })
+        assert wb_synergy(d, target_of(d)) == 0.0
 
     def test_union_complement_column(self):
         """I(Y;T) minus the non-pooled atoms, the other synergy reading."""

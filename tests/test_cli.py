@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cipid import SolverError, canonical, save_distribution
+from cipid import SolverError, canonical, load_distribution, save_distribution, wms_synergy
 from cipid import channels, cli
 from cipid.cli import main
 
@@ -97,6 +97,44 @@ class TestMeasure:
         assert code == 3
         assert out == "i_total\t0.811278\n"
         assert "iteration cap" in err
+
+    @pytest.mark.parametrize("measure", ["i_cap_d", "i_cup_vk", "s_d"])
+    def test_unconverged_solve_names_its_bracket(self, capsys, monkeypatch, measure):
+        reports = []
+
+        def unconverged(solve):
+            def stopped(*args, **kwargs):
+                reports.append(dataclasses.replace(solve(*args, **kwargs), converged=False))
+                return reports[-1]
+            return stopped
+
+        monkeypatch.setattr(cli, "degradation_redundancy", unconverged(channels.degradation_redundancy))
+        monkeypatch.setattr(channels, "vk_union_information", unconverged(channels.vk_union_information))
+        code, out, err = run(capsys, "measure", "--dist", "corpus:BOOM", "--measure", measure)
+        [rep] = reports
+        assert code == 3
+        assert out == ""
+        assert f"the optimum lies in [{rep.lower:.6f}, {rep.upper:.6f}] bits" in err
+        assert "iteration cap" in err
+
+    def test_a_value_that_rounds_to_zero_prints_unsigned(self, capsys, tmp_path):
+        """Draws 811 and 154 of axioms.random_distribution(default_rng(5)).
+        On the first the top Williams-Beer atom rounds to -1.1e-16 and is
+        clamped; on the second s_wms, which is signed, rounds to -1.1e-16."""
+        top_atom = tmp_path / "top_atom.dist"
+        top_atom.write_text(
+            "T Y1 Y2 p\n0 0 0 0.1640874982365702\n0 1 1 0.43275041731840264\n"
+            "1 0 0 0.24001211642934253\n1 2 0 0.0844620926279495\n1 2 1 0.0786878753877352\n"
+        )
+        wms = tmp_path / "wms.dist"
+        wms.write_text(
+            "T Y1 Y2 p\n0 0 0 0.340800799321231\n0 0 1 0.05074399349675174\n"
+            "1 0 0 0.3888254198459399\n1 0 1 0.21962978733607727\n"
+        )
+        assert run(capsys, "measure", "--dist", str(top_atom), "--measure", "s_wb")[1] == "s_wb\t0.000000\n"
+        assert run(capsys, "measure", "--dist", str(wms), "--measure", "s_wms")[1] == "s_wms\t0.000000\n"
+        d = load_distribution(wms)
+        assert wms_synergy(d, d.varset("T")) < 0.0
 
     def test_every_name_is_checked_before_any_is_computed(self, capsys):
         code, out, err = run(
@@ -274,6 +312,14 @@ def unconverged_redundancy(*args, **kwargs):
     return dataclasses.replace(channels.degradation_redundancy(*args, **kwargs), converged=False)
 
 
+@pytest.mark.parametrize("value, shown", [
+    (True, "yes"), (False, "no"), (0.5, "0.500000"), (-1.1e-16, "0.000000"),
+    (-0.0, "0.000000"), (-4e-7, "0.000000"), (-6e-7, "-0.000001"), (-0.123, "-0.123000"),
+])
+def test_one_format_for_every_printed_value(value, shown):
+    assert cli._fmt(value) == shown
+
+
 def reproduce_cells(out):
     """(case, measure, status) of each row of a reproduce table, by column position."""
     return [
@@ -386,6 +432,16 @@ class TestSweep:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_a_value_that_rounds_to_zero_is_written_unsigned(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setitem(cli.MEASURES, "s_wms", lambda ctx: -1.1e-16)
+        path = tmp_path / "sweep.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--family", "ADAPTED_XOR", "--grid", "0",
+            "--measure", "s_wms", "--out", str(path),
+        )
+        assert code == 0
+        assert path.read_text().splitlines() == ["r,s_wms", "0,0.000000"]
 
     def test_solver_error_leaves_the_old_file(self, capsys, monkeypatch, tmp_path):
         calls = []
