@@ -133,21 +133,21 @@ def ci_union_information(
     q(a) = sum over t of p(t) prod_b p(a_b|t).
 
     The partitions are the root-to-leaf paths of one tree of block
-    choices (``sources._partition_tree``).  Before any table is built,
-    the 2^22-cell table cap is checked and then the tree's leaves are
-    counted against the 2^16 partition cap; past either this raises
-    :class:`~cipid.errors.UnsupportedError`.  Each block term is
-    computed once per call.  The walk goes depth first and carries the
-    prefix product p(t) prod p(a_b|t) and the prefix sum of H(A_b|T)
-    down the tree, so each edge of the tree costs one product.  Each
-    leaf's q(a) becomes one row of a stack of at most 2^22 cells, and a
-    full stack gets its entropies from one vectorised sum per row.  A row
-    that holds a zero is summed over its positive entries alone, as every
-    other entropy here is, so each I_q is the same float a
-    partition-by-partition scan gives.
+    choices, which ``sources._partition_tree`` builds and walks.  Before
+    any table is built, the 2^22-cell table cap is checked and then the
+    tree's leaves are counted against the 2^16 partition cap; past
+    either this raises :class:`~cipid.errors.UnsupportedError`.  The
+    walk folds the prefix product p(t) prod p(a_b|t) and the prefix sum
+    of H(A_b|T) down the tree, depth first, so each edge of the tree
+    costs one product; each block term is computed on its first use and
+    kept for the call.  Each leaf's q(a) becomes one row of a stack of
+    at most 2^22 cells, and a full stack gets its entropies from one
+    vectorised sum per row.  A row that holds a zero is summed over its
+    positive entries alone, as every other entropy here is, so each I_q
+    is the same float a partition-by-partition scan gives.
 
     The scan stops once a stack reaches I_p, which is then the answer; a
-    lone source reaches it at once.  The tree visits the partitions in
+    lone source reaches it at once.  The walk visits the partitions in
     another order than ``enumerate_ci_partitions`` returns them, but the
     answer, min(I_p, max over partitions), does not depend on the order.
     """
@@ -161,7 +161,7 @@ def ci_union_information(
     # both caps fire before any table is built, the cell cap first
     layout = target.indices + pooled
     _dense_shape(dist, layout)
-    tree, n_parts = _partition_tree(norm)
+    paths, n_parts = _partition_tree(norm)
 
     # axis 0 runs over the target states of positive mass, then one axis
     # per pooled variable; a pooled target variable keeps its own axis
@@ -171,30 +171,25 @@ def ci_union_information(
     live = p_t.ravel() > 0.0
     p, p_t = p[live], p_t[live]
     h_t = _bits(p_t)
-    # p(a_b|t) over the pooled axes, and H(A_b|T), once per block
+    # p(a_b|t) over the pooled axes, and H(A_b|T), per block on its first use
     terms: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
-    for choices in tree.values():
-        for block, _ in choices:
-            if block not in terms:
-                others = tuple(1 + k for k, v in enumerate(pooled) if v not in block)
-                joint = p.sum(axis=others, keepdims=True)
-                terms[block] = (joint / p_t, _bits(joint) - h_t)
 
-    def leaves(rest: tuple[int, ...], q: np.ndarray, h: float):
-        """Each leaf's p(t) prod p(a_b|t) and sum of H(A_b|T) below ``rest``."""
-        for block, left in tree[rest]:
-            cond, h_b = terms[block]
-            if left:
-                yield from leaves(left, q * cond, h + h_b)
-            else:
-                yield q * cond, h + h_b
+    def step(acc: tuple[np.ndarray, float], block: tuple[int, ...], _witness: int):
+        """A path's p(t) prod p(a_b|t) and sum of H(A_b|T), one block further down."""
+        term = terms.get(block)
+        if term is None:
+            others = tuple(1 + k for k, v in enumerate(pooled) if v not in block)
+            joint = p.sum(axis=others, keepdims=True)
+            term = terms[block] = (joint / p_t, _bits(joint) - h_t)
+        q, h = acc
+        return q * term[0], h + term[1]
 
     # one row per leaf: q(a), and the sum of H(A_b|T) along its path
     rows = min(n_parts, max(1, _MAX_CELLS // p[0].size))
     q_a = np.empty((rows, p[0].size))
     h_cond = np.empty(rows)
     best = -math.inf
-    for k, (q, h) in enumerate(leaves(pooled, p_t, 0.0)):
+    for k, (q, h) in enumerate(paths(step, (p_t, 0.0))):
         row = k % rows
         np.add.reduce(q, axis=0, out=q_a[row].reshape(q.shape[1:]))
         h_cond[row] = h

@@ -363,8 +363,10 @@ def _parse_grid(spec: str) -> list[float]:
             raise ArgumentError(f"cannot parse grid {spec!r}") from None
         if count < 2:
             raise ArgumentError("grid range needs at least two points")
+        # the last point is stop itself, as in numpy.linspace: start + i*step
+        # can round past it
         step = (stop - start) / (count - 1)
-        values = [start + i * step for i in range(count)]
+        values = [start + i * step for i in range(count - 1)] + [stop]
     else:
         try:
             values = [float(tok) for tok in spec.split(",") if tok.strip()]

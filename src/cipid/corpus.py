@@ -419,17 +419,27 @@ def save_distribution(dist: JointDistribution, path) -> None:
 
     Symbols are written with ``str``; they must not contain whitespace,
     and neither a symbol of the first variable nor the first variable
-    name may start with ``#``, which would make its line a comment.
+    name may start with ``#``, which would make its line a comment.  Two
+    outcomes whose symbols print alike, such as ``(1, 0)`` and
+    ``("1", 0)``, would load as one duplicate row, so they raise
+    :class:`~cipid.errors.ArgumentError` before the file is opened.
     Probabilities use ``repr``, which round-trips doubles exactly, so
     saving and loading a string-symbol distribution is lossless.
     """
-    rows = [(tuple(str(s) for s in outcome), p) for outcome, p in dist.pmf.items()]
+    pmf = dist.pmf
+    rows = [(tuple(str(s) for s in outcome), p) for outcome, p in pmf.items()]
     for line in [dist.var_names, *(syms for syms, _ in rows)]:
         for s in line:
             if not s or any(ch.isspace() for ch in s) or line[0].startswith("#"):
                 raise ArgumentError(
                     f"{s!r} cannot be written: whitespace splits fields and '#' starts a comment"
                 )
+    written: dict[tuple[str, ...], tuple] = {}
+    for outcome, (syms, _) in zip(pmf, rows):
+        if written.setdefault(syms, outcome) != outcome:
+            raise ArgumentError(
+                f"outcomes {written[syms]!r} and {outcome!r} would both be written as {' '.join(syms)!r}"
+            )
     rows.sort(key=lambda r: r[0])
 
     with open(path, "w", encoding="utf-8") as fh:

@@ -23,12 +23,13 @@ per climb round: 69 LPs in 2 calls on AND, 139 in 3 on RDNUNQXOR.  Its
 phase 2 keeps 106 of 272 rows on RDNUNQXOR, 12 of 15 on BOOM and 6 of 8
 on AND.  ``solve_lp`` prepares a polytope for a single objective.
 
-``solve`` takes one objective or a (k, n) stack of them, and picks the
-runner by the number of objectives.  A stack of ``_MIN_STACK`` (4) or
-more runs phase 2 for every objective in lockstep, in slices of
-``_STACK``: each Bland step is one array expression over the tableaux
-still running.  Fewer objectives, a single one included, run one at a
-time on the scalar runner, with the leaving-row rule as a loop.  The
+``solve`` takes one objective or a (k, n) stack of them, cuts the stack
+into slices of ``_STACK`` and picks the runner by each slice's length.
+A slice of ``_MIN_STACK`` (4) or more runs phase 2 for every objective
+in lockstep: each Bland step is one array expression over the tableaux
+still running.  A shorter slice, a single objective or the tail of a
+65-objective stack included, runs one objective at a time on the
+scalar runner, with the leaving-row rule as a loop.  The
 runners share the cost-row build, and their leaving-row rules pick the
 same row, so a stacked solve equals k single solves bit for bit.  At
 these tableau sizes a pivot costs numpy call overhead rather than
@@ -258,12 +259,13 @@ class _Polytope:
         """Minimize (or maximize) c.x over the polytope by phase 2 alone.
 
         ``c`` is one objective of length n, or a (k, n) stack of them,
-        which gives a list of k solutions.  A stack of ``_MIN_STACK`` or
-        more runs in lockstep, in slices of ``_STACK`` objectives; a
-        shorter one runs one objective at a time on the scalar runner.
+        which gives a list of k solutions.  The stack runs in slices of
+        ``_STACK`` objectives.  A slice of ``_MIN_STACK`` or more runs in
+        lockstep; a shorter one, the trailing slice of a longer stack
+        included, runs one objective at a time on the scalar runner.
         Either way each solution equals the solve of its objective alone
-        bit for bit.  The reported
-        objective is always in the caller's sense.  Raises
+        bit for bit.  The reported objective is always in the caller's
+        sense.  Raises
         :class:`~cipid.errors.ArgumentError` on a non-finite or
         wrong-length ``c``, and :class:`~cipid.errors.SolverError` when
         an optimum has a basic value below ``-_FEAS_TOL``.
@@ -279,18 +281,17 @@ class _Polytope:
         sense = -1.0 if maximize else 1.0
         obj = np.atleast_2d(sense * c)
 
-        if not self.feasible:
-            sols = [LpSolution("infeasible", None, None)] * len(obj)
-        elif len(obj) < _MIN_STACK:
-            sols = []
-            for one in obj[:, None]:
-                tab = np.vstack((self._tab, _phase2_costs(one, self._tab, self._basis)))
-                basis = self._basis.tolist()
-                optimal = _run_simplex(tab, basis) == "optimal"
-                sols += self._solutions(sense, one, [optimal], tab[None, :-1, -1], [basis])
-        else:
-            sols = []
-            for part in (obj[lo : lo + _STACK] for lo in range(0, len(obj), _STACK)):
+        sols = []
+        for part in (obj[lo : lo + _STACK] for lo in range(0, len(obj), _STACK)):
+            if not self.feasible:
+                sols += [LpSolution("infeasible", None, None)] * len(part)
+            elif len(part) < _MIN_STACK:
+                for one in part[:, None]:
+                    tab = np.vstack((self._tab, _phase2_costs(one, self._tab, self._basis)))
+                    basis = self._basis.tolist()
+                    optimal = _run_simplex(tab, basis) == "optimal"
+                    sols += self._solutions(sense, one, [optimal], tab[None, :-1, -1], [basis])
+            else:
                 tabs = np.concatenate((
                     np.broadcast_to(self._tab, (len(part), *self._tab.shape)),
                     _phase2_costs(part, self._tab, self._basis)[:, None, :],

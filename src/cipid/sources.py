@@ -11,17 +11,17 @@ This module also enumerates the conditional-independence partitions of
 the union of a collection: set partitions of the pooled variables in
 which every block fits inside at least one listed source.  The
 all-singletons partition always qualifies, so the enumeration is never
-empty.  The partitions form one tree of block choices, shared by
-``enumerate_ci_partitions`` and ``ci.ci_union_information``; its leaves
-are counted against a cap of 2^16 partitions before any is listed or
-scored.
+empty.  The partitions are the paths of one tree of block choices that
+records each block's witness; ``enumerate_ci_partitions`` and
+``ci.ci_union_information`` both fold them with its one walk.  Its
+leaves are counted against a cap of 2^16 partitions first.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .distribution import JointDistribution, VariableSet, _check_vars, _entropy_of
 from .errors import ArgumentError, UnsupportedError
@@ -176,24 +176,26 @@ class CiPartition:
             seen |= set(b.indices)
 
 
-# tree[rest]: (block, variables left after it) for each admissible block
-# holding rest[0], where rest is a tuple of pooled variables still to place
-_Tree = dict[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]
+def _partition_tree(collection: SourceCollection) -> tuple[Callable[..., Iterator], int]:
+    """The paths of the tree of CI partitions of a collection, and its leaf count.
 
+    A node of the tree is a tuple ``rest`` of pooled variables still to
+    place.  Its entries are every block that holds ``rest[0]`` and fits
+    in a source, each with its witness and the variables left after it.
+    The witness is the first listed source that offers the block, which
+    is the first listed source that holds it.  A partition is one path
+    from the whole pooled tuple down to ``()``, so the leaves are
+    counted per entry without listing any partition.  Past 2^16 leaves
+    this raises :class:`~cipid.errors.UnsupportedError` as soon as the
+    count gets there.
 
-def _partition_tree(collection: SourceCollection) -> tuple[_Tree, int]:
-    """The CI partitions of a collection as a tree of block choices, and its leaf count.
-
-    ``tree[rest]`` lists, for a tuple ``rest`` of pooled variables still
-    to place, every block that holds ``rest[0]`` and fits in a source,
-    each with the variables left after it.  A partition is one path from
-    the whole pooled tuple down to ``()``, so the leaves are counted per
-    entry without listing any partition.  Past 2^16 leaves this raises
-    :class:`~cipid.errors.UnsupportedError` as soon as the count gets
-    there.
+    Returns ``(paths, count)``.  ``paths(step, acc)`` folds
+    ``acc = step(acc, block, witness)`` down every root-to-leaf path,
+    depth first in entry order, and yields each leaf's ``acc``.  A
+    prefix that several paths share is folded once.
     """
     member_sets = [set(s.members.indices) for s in collection]
-    tree: _Tree = {}
+    tree = {}  # rest -> ((block, witness, variables left after it), ...)
     leaves = {(): 1}
 
     def choices(rest: tuple[int, ...]):
@@ -201,22 +203,22 @@ def _partition_tree(collection: SourceCollection) -> tuple[_Tree, int]:
         # first, so each partition is reached by exactly one path
         first, others = rest[0], rest[1:]
         seen = set()
-        for m in member_sets:
+        for witness, m in enumerate(member_sets):
             if first in m:
                 inside = [v for v in others if v in m]
                 for r in range(len(inside) + 1):
                     for c in itertools.combinations(inside, r):
                         if c not in seen:
                             seen.add(c)
-                            yield (first,) + c, tuple(v for v in others if v not in c)
+                            yield (first,) + c, witness, tuple(v for v in others if v not in c)
 
     def count(rest: tuple[int, ...]) -> int:
         if rest not in leaves:
             # every choice adds at least one leaf, so a node is listed
             # only as far as the cap
             entries, total = [], 0
-            for block, left in choices(rest):
-                entries.append((block, left))
+            for block, witness, left in choices(rest):
+                entries.append((block, witness, left))
                 total += count(left)
                 if total > _MAX_PARTITIONS:
                     raise UnsupportedError(
@@ -226,7 +228,17 @@ def _partition_tree(collection: SourceCollection) -> tuple[_Tree, int]:
             leaves[rest] = total
         return leaves[rest]
 
-    return tree, count(tuple(collection.union().indices))
+    root = tuple(collection.union().indices)
+
+    def paths(step, acc, rest=root):
+        for block, witness, left in tree[rest]:
+            folded = step(acc, block, witness)
+            if left:
+                yield from paths(step, folded, left)
+            else:
+                yield folded
+
+    return paths, count(root)
 
 
 def enumerate_ci_partitions(collection: SourceCollection) -> tuple[CiPartition, ...]:
@@ -237,25 +249,14 @@ def enumerate_ci_partitions(collection: SourceCollection) -> tuple[CiPartition, 
     blocks fit inside whichever source mentions the variable.  Each
     block's witness is the first listed source that holds it.
 
-    The partitions are read off the tree of ``_partition_tree``, whose
-    leaves are counted first: past 2^16 partitions this raises
+    The partitions are the paths of ``_partition_tree``, whose leaves
+    are counted first: past 2^16 partitions this raises
     :class:`~cipid.errors.UnsupportedError` before any is built.
-    ``ci_union_information`` walks that tree itself, in its own order.
     """
-    tree, _ = _partition_tree(collection)
-    tails: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {(): [()]}
-
-    def walk(rest: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-        if rest not in tails:
-            tails[rest] = [(b,) + tail for b, left in tree[rest] for tail in walk(left)]
-        return tails[rest]
-
-    member_sets = [set(s.members.indices) for s in collection]
-    out = []
-    for part in sorted(walk(tuple(collection.union().indices)), key=lambda p: (len(p), p)):
-        blocks = tuple(VariableSet(b) for b in part)
-        witness = tuple(
-            next(i for i, m in enumerate(member_sets) if set(b) <= m) for b in part
-        )
-        out.append(CiPartition(blocks, witness))
-    return tuple(out)
+    paths, _ = _partition_tree(collection)
+    # a block fixes its witness, so the pairs sort as the blocks do
+    found = paths(lambda acc, block, witness: acc + ((block, witness),), ())
+    return tuple(
+        CiPartition(tuple(VariableSet(b) for b, _ in part), tuple(w for _, w in part))
+        for part in sorted(found, key=lambda p: (len(p), p))
+    )

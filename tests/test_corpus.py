@@ -129,6 +129,14 @@ class TestRoundTrip:
         assert load_distribution(tmp_path / "ok.dist") == d
 
 
+    def test_save_rejects_outcomes_that_print_alike(self, tmp_path):
+        d = JointDistribution(("A", "B"), {(1, 0): 0.25, ("1", 0): 0.25, (0, 1): 0.5})
+        path = tmp_path / "alike.dist"
+        with pytest.raises(ArgumentError, match=r"\(1, 0\) and \('1', 0\)"):
+            save_distribution(d, path)
+        assert not path.exists()
+
+
 class TestLoadFormat:
     def write(self, tmp_path, text):
         path = tmp_path / "dist.txt"

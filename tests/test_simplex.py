@@ -364,6 +364,34 @@ def test_runner_is_chosen_by_stack_length(monkeypatch):
     assert stacked == [_MIN_STACK]
 
 
+def test_a_short_trailing_slice_runs_on_the_scalar_runner(monkeypatch):
+    """17 objectives run as a lockstep slice of 16 and one scalar solve,
+    each equal bit for bit to its solve alone."""
+    rng = np.random.default_rng(3)
+    a, b = _stack_polytope(rng, bounded=True, infeasible=False)
+    polytope = _Polytope(a, b)
+    c = rng.normal(size=(_STACK + 1, a.shape[1]))
+    alone = [polytope.solve(row, maximize=True) for row in c]
+    runs, run_stacked, run_simplex = [], simplex._run_stacked, simplex._run_simplex
+
+    def stacked_runner(tabs, basis):
+        runs.append(("stacked", len(tabs)))
+        return run_stacked(tabs, basis)
+
+    def scalar_runner(tab, basis):
+        runs.append(("scalar", 1))
+        return run_simplex(tab, basis)
+
+    monkeypatch.setattr(simplex, "_run_stacked", stacked_runner)
+    monkeypatch.setattr(simplex, "_run_simplex", scalar_runner)
+    stacked = polytope.solve(c, maximize=True)
+    assert runs == [("stacked", _STACK), ("scalar", 1)]
+    for many, one in zip(stacked, alone, strict=True):
+        assert many.status == one.status == "optimal"
+        assert many.objective == one.objective
+        assert np.array_equal(many.x, one.x)
+
+
 def _stack_polytope(rng, bounded, infeasible):
     """Up to 8 x 9 with small integer coefficients, a sparse feasible point,
     repeated rows and zero right-hand sides, so vertices are degenerate."""
