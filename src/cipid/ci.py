@@ -186,15 +186,15 @@ def ci_union_information(
 
     # one row per leaf: q(a), and the sum of H(A_b|T) along its path
     rows = min(n_parts, max(1, _MAX_CELLS // p[0].size))
-    q_a = np.empty((rows, p[0].size))
+    q_a = np.empty((rows, *p.shape[1:]))
     h_cond = np.empty(rows)
     best = -math.inf
     for k, (q, h) in enumerate(paths(step, (p_t, 0.0))):
         row = k % rows
-        np.add.reduce(q, axis=0, out=q_a[row].reshape(q.shape[1:]))
+        np.add.reduce(q, axis=0, out=q_a[row])
         h_cond[row] = h
         if row == rows - 1 or k == n_parts - 1:
-            i_q = _row_bits(q_a[: row + 1]) - h_cond[: row + 1]
+            i_q = _row_bits(q_a[: row + 1].reshape(row + 1, -1)) - h_cond[: row + 1]
             best = max(best, *(_clamp_nonneg(v, "mutual information") for v in i_q.tolist()))
             if best >= i_p:
                 break

@@ -179,20 +179,18 @@ class CiPartition:
 def _partition_tree(collection: SourceCollection) -> tuple[Callable[..., Iterator], int]:
     """The paths of the tree of CI partitions of a collection, and its leaf count.
 
-    A node of the tree is a tuple ``rest`` of pooled variables still to
-    place.  Its entries are every block that holds ``rest[0]`` and fits
-    in a source, each with its witness and the variables left after it.
-    The witness is the first listed source that offers the block, which
-    is the first listed source that holds it.  A partition is one path
-    from the whole pooled tuple down to ``()``, so the leaves are
-    counted per entry without listing any partition.  Past 2^16 leaves
-    this raises :class:`~cipid.errors.UnsupportedError` as soon as the
-    count gets there.
+    A node is a tuple ``rest`` of pooled variables still to place; its
+    entries are every block that holds ``rest[0]`` and fits in a source,
+    each with its witness (the first listed source that offers the
+    block, which is the first that holds it) and the variables left
+    after it.  A partition is one path from the pooled tuple down to
+    ``()``, so the leaves are counted per entry without listing any
+    partition; past 2^16 this raises :class:`~cipid.errors.UnsupportedError`
+    as soon as the count gets there.
 
-    Returns ``(paths, count)``.  ``paths(step, acc)`` folds
-    ``acc = step(acc, block, witness)`` down every root-to-leaf path,
-    depth first in entry order, and yields each leaf's ``acc``.  A
-    prefix that several paths share is folded once.
+    ``paths(step, acc)`` folds ``acc = step(acc, block, witness)`` down
+    every root-to-leaf path, depth first in entry order and a shared
+    prefix once, and yields each leaf's ``acc``.
     """
     member_sets = [set(s.members.indices) for s in collection]
     tree = {}  # rest -> ((block, witness, variables left after it), ...)
@@ -224,19 +222,24 @@ def _partition_tree(collection: SourceCollection) -> tuple[Callable[..., Iterato
                     raise UnsupportedError(
                         f"the sources admit more than {_MAX_PARTITIONS} CI partitions, beyond the cap"
                     )
-            tree[rest] = tuple(entries)
-            leaves[rest] = total
+            tree[rest], leaves[rest] = tuple(entries), total
         return leaves[rest]
 
     root = tuple(collection.union().indices)
 
-    def paths(step, acc, rest=root):
-        for block, witness, left in tree[rest]:
-            folded = step(acc, block, witness)
-            if left:
-                yield from paths(step, folded, left)
-            else:
+    def paths(step, acc):
+        # a frame: a node's prefix fold and its entries still to take
+        stack = [(acc, iter(tree[root]))]
+        while stack:
+            acc, entries = stack[-1]
+            for block, witness, left in entries:
+                folded = step(acc, block, witness)
+                if left:
+                    stack.append((folded, iter(tree[left])))
+                    break
                 yield folded
+            else:
+                stack.pop()
 
     return paths, count(root)
 

@@ -10,8 +10,8 @@ Inputs:
 
 - every corpus entry, the parametric families at r = 0, 0.25, 0.5, 0.75
   and 1;
-- draws 0 .. N-1 (``--draws``, default 200) of
-  ``axioms.random_distribution(default_rng(seed))`` for seeds 2024 and 11.
+- draws 0 .. 599 of ``axioms.random_distribution(default_rng(seed))``
+  for seeds 2024 and 11.
 
 Per input it records, as ``float.hex`` (an error as its type and
 message):
@@ -53,6 +53,7 @@ from cipid.sources import enumerate_ci_partitions, normalize_sources
 
 _RS = (0.0, 0.25, 0.5, 0.75, 1.0)
 _SEEDS = (2024, 11)
+_DRAWS = 600
 _COMMANDS = (
     *(["reproduce", table] for table in sorted(cli._TABLES)),
     ["axioms", "--trials", "200", "--seed", "0"],
@@ -83,14 +84,14 @@ def _partitions(collection) -> tuple:
     )
 
 
-def _inputs(draws: int):
+def _inputs():
     """(label, distribution) for every corpus entry and random draw, in a fixed order."""
     for name, entry in CORPUS.items():
         for r in _RS if entry.parametric else (None,):
             yield f"corpus:{name}" + ("" if r is None else f"@{r}"), canonical(name, r)
     for seed in _SEEDS:
         rng = np.random.default_rng(seed)
-        for k in range(draws):
+        for k in range(_DRAWS):
             yield f"draw:{seed}:{k}", random_distribution(rng)
 
 
@@ -119,10 +120,10 @@ def _command_record(argv: list[str]) -> str:
     return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
 
 
-def compute(draws: int) -> dict[str, dict[str, str]]:
+def compute() -> dict[str, dict[str, str]]:
     """records[measure][input label]: the token of that measure on that input."""
     records: dict[str, dict[str, str]] = {}
-    for index, (label, dist) in enumerate(_inputs(draws)):
+    for index, (label, dist) in enumerate(_inputs()):
         for name, token in _measure_records(label, dist, index).items():
             records.setdefault(name, {})[label] = token
     records["cli"] = {" ".join(argv): _command_record(argv) for argv in _COMMANDS}
@@ -138,28 +139,24 @@ def digest(records: dict[str, str]) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--draws", type=int, default=200, help="draws per seed (default 200)")
     parser.add_argument("--save", help="write the records to this JSON file")
     parser.add_argument("--check", help="compare against a JSON file written by --save")
     args = parser.parse_args(argv)
 
-    records = compute(args.draws)
+    records = compute()
     for name, per_input in records.items():
         print(f"{digest(per_input)}  {name}")
     if args.save:
         with open(args.save, "w", encoding="utf-8") as fh:
-            json.dump({"draws": args.draws, "records": records}, fh, indent=0, sort_keys=True)
+            json.dump(records, fh, indent=0, sort_keys=True)
     if not args.check:
         return 0
 
     with open(args.check, encoding="utf-8") as fh:
         saved = json.load(fh)
-    if saved["draws"] != args.draws:
-        print(f"saved digest covers {saved['draws']} draws per seed, not {args.draws}")
-        return 2
     differs = False
-    for name in sorted(set(records) | set(saved["records"])):
-        mine, theirs = records.get(name, {}), saved["records"].get(name, {})
+    for name in sorted(set(records) | set(saved)):
+        mine, theirs = records.get(name, {}), saved.get(name, {})
         changed = [k for k in sorted(set(mine) | set(theirs)) if mine.get(k) != theirs.get(k)]
         if changed:
             differs = True
