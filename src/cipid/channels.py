@@ -242,14 +242,10 @@ def degradation_redundancy(
         if not live:
             break
 
-    best_val = -1.0
-    best_x = None
-    best_converged = False
-    for i, (x, val) in enumerate(zip(xs, vals)):
-        if val > best_val:
-            best_val, best_x, best_converged = val, x, i not in live
+    best = max(range(len(xs)), key=vals.__getitem__)
+    best_val = vals[best]
 
-    kq = np.clip(kq_of(best_x), 0.0, None)
+    kq = np.clip(kq_of(xs[best]), 0.0, None)
     kq /= kq.sum(axis=1, keepdims=True)
     argument = Channel(
         channels[0].input_states, w, tuple(range(n_out)), kq
@@ -257,7 +253,7 @@ def degradation_redundancy(
     return OptimizationReport(
         value=best_val,
         argument=argument,
-        converged=best_converged,
+        converged=best not in live,
         lower=best_val,
         upper=min(ch.mutual_information() for ch in channels),
     )

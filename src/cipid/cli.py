@@ -103,25 +103,21 @@ MEASURES: dict[str, Callable[[_Ctx], float]] = {
 }
 
 
-def _resolve_dist(spec: str, r: float | None) -> JointDistribution:
+def _resolve_dist(spec: str, r: float | None) -> tuple[JointDistribution, str | None]:
+    """The ``--dist`` distribution and its corpus entry's default target, None for a file."""
     if spec.startswith("corpus:"):
-        return canonical(spec[len("corpus:"):], r)
+        name = spec[len("corpus:"):]
+        return canonical(name, r), CORPUS[name].default_target
     if r is not None:
         raise ArgumentError("--r only applies to corpus: families")
-    return load_distribution(spec)
+    return load_distribution(spec), None
 
 
-def _resolve_target(dist: JointDistribution, spec: str | None, dist_spec: str) -> VariableSet:
+def _resolve_target(dist: JointDistribution, spec: str | None) -> VariableSet:
     if spec is None:
-        if dist_spec.startswith("corpus:"):
-            name = dist_spec[len("corpus:"):]
-            if name in CORPUS:
-                spec = CORPUS[name].default_target
-        if spec is None:
-            if "T" in dist.var_names:
-                spec = "T"
-            else:
-                raise ArgumentError("no default target; pass --target")
+        if "T" not in dist.var_names:
+            raise ArgumentError("no default target; pass --target")
+        spec = "T"
     names = [t.strip() for t in spec.split(",") if t.strip()]
     if not names:
         raise ArgumentError("target specification is empty")
@@ -160,8 +156,8 @@ def _fmt(value) -> str:
 
 def cmd_measure(args) -> int:
     _check_measures(args.measure)
-    dist = _resolve_dist(args.dist, args.r)
-    target = _resolve_target(dist, args.target, args.dist)
+    dist, default_target = _resolve_dist(args.dist, args.r)
+    target = _resolve_target(dist, default_target if args.target is None else args.target)
     collection = _resolve_sources(dist, args.sources, target)
     ctx = _Ctx(dist, target, collection, args.seed)
     for name in args.measure:
@@ -310,7 +306,7 @@ def _row_value(how, seed: int, earlier: list, contexts: dict):
         key = (source, r, target_spec, sources_spec)
         if key not in contexts:
             dist = canonical(source, r) if isinstance(source, str) else source
-            target = _resolve_target(dist, target_spec, "")
+            target = _resolve_target(dist, target_spec)
             contexts[key] = _Ctx(dist, target, _resolve_sources(dist, sources_spec, target), seed)
         values.append(contexts[key].value(evaluation))
     return values[0] if len(values) == 1 else sum(values) / len(values)
@@ -391,7 +387,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for r in grid:
         dist = canonical(args.family, r)
-        target = _resolve_target(dist, None, f"corpus:{args.family}")
+        target = _resolve_target(dist, CORPUS[args.family].default_target)
         ctx = _Ctx(dist, target, _resolve_sources(dist, None, target), args.seed)
         rows.append([f"{r:g}"] + [_fmt(ctx.value(m)) for m in args.measure])
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

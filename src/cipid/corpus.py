@@ -2,8 +2,10 @@
 
 Every distribution used in the test suite and the command line tools is
 registered here by name.  Symbols are strings throughout so that a
-distribution survives a save/load round trip unchanged.  Three families
-take a mixing parameter ``r`` in [0, 1]; the rest are fixed tables.
+distribution survives a save/load round trip unchanged.  The fixed
+tables are built once, when the module loads; a distribution is
+immutable, so every caller shares that one object.  Three families take
+a mixing parameter ``r`` in [0, 1] and build a new table per ``r``.
 
 File format: UTF-8 text, ``#`` starts a comment line, the first
 non-comment line names the variables followed by the literal column
@@ -17,22 +19,21 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .distribution import JointDistribution
 from .errors import ArgumentError, ParseError
 
 
-def _uniform(names: Sequence[str], rows: Sequence[Sequence[object]]) -> JointDistribution:
-    p = Fraction(1, len(rows))
-    return JointDistribution(
-        names, {tuple(str(s) for s in row): float(p) for row in rows}
-    )
+def _pmf(names: str, masses: dict[str, float]) -> JointDistribution:
+    """A table from a header like ``"T Y1 Y2"`` and rows like ``{"0 1 1": 0.25}``."""
+    return JointDistribution(names.split(), {tuple(row.split()): p for row, p in masses.items()})
 
 
-def _weighted(names: Sequence[str], rows: dict[tuple, float]) -> JointDistribution:
-    pmf = {tuple(str(s) for s in key): float(p) for key, p in rows.items() if p > 0}
-    return JointDistribution(names, pmf)
+def _uniform(names: str, rows: str) -> JointDistribution:
+    """Equal mass on each of the comma-separated ``rows``."""
+    outcomes = rows.split(",")
+    return _pmf(names, dict.fromkeys(outcomes, 1 / len(outcomes)))
 
 
 def _check_r(r: float) -> float:
@@ -42,279 +43,129 @@ def _check_r(r: float) -> float:
     return r
 
 
-def _xor(_):
-    return _uniform(("T", "Y1", "Y2"), [(0, 0, 0), (1, 0, 1), (1, 1, 0), (0, 1, 1)])
-
-
-def _and(_):
-    return _uniform(("T", "Y1", "Y2"), [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 1)])
-
-
-def _copy(_):
-    return _uniform(
-        ("T", "Y1", "Y2"), [("00", 0, 0), ("01", 0, 1), ("10", 1, 0), ("11", 1, 1)]
-    )
-
-
-def _tweaked_copy(_):
-    return _uniform(("T", "Y1", "Y2"), [("00", 0, 0), ("01", 0, 1), ("10", 1, 0)])
-
-
-def _boom(_):
-    return _uniform(
-        ("T", "Y1", "Y2"),
-        [(0, 0, 2), (1, 0, 0), (1, 1, 2), (2, 0, 0), (2, 2, 0), (2, 2, 1)],
-    )
-
-
-def _target_mono_and(_):
-    return _uniform(
-        ("T", "Z", "Y1", "Y2"),
-        [(0, "00", 0, 0), (0, "01", 0, 1), (0, "10", 1, 0), (1, "11", 1, 1)],
-    )
-
-
-def _target_mono_ci(_):
-    return _weighted(
-        ("T", "Z", "Y1", "Y2"),
-        {
-            (0, 0, 1, 0): 0.419,
-            (1, 1, 2, 1): 0.203,
-            (2, 1, 3, 0): 0.007,
-            (0, 0, 3, 1): 0.346,
-            (2, 2, 4, 4): 0.025,
-        },
-    )
-
-
-def _copy_xor_targets(_):
-    return _uniform(
-        ("T2", "T1", "Y1", "Y2"),
-        [(0, 0, 0, 0), (1, 1, 0, 1), (1, 2, 1, 0), (0, 3, 1, 1)],
-    )
-
-
-def _adapted_xor(r):
-    r = _check_r(r)
-    return _weighted(
-        ("T", "Y1", "Y2"),
-        {
-            (0, 0, 0): r / 4,
-            (1, 0, 0): (1 - r) / 4,
-            (1, 1, 0): 0.25,
-            (1, 0, 1): 0.25,
-            (0, 1, 1): 0.25,
-        },
-    )
-
-
-def _adapted_xor_v2(r):
-    r = _check_r(r)
-    return _weighted(
-        ("T", "Y1", "Y2"),
-        {
-            (0, 0, 0): r / 10,
-            (1, 0, 0): (1 - r) / 10,
-            (1, 1, 0): 0.4,
-            (1, 0, 1): 0.4,
-            (0, 1, 1): 0.1,
-        },
-    )
-
-
-def _adapted_reduced_or(r):
-    r = _check_r(r)
-    return _weighted(
-        ("T", "Y1", "Y2"),
-        {
-            (0, 0, 0): 0.5,
-            (1, 0, 0): r / 4,
-            (1, 1, 0): (1 - r) / 4,
-            (1, 0, 1): (1 - r) / 4,
-            (1, 1, 1): r / 4,
-        },
-    )
-
-
-def _rdnxor(_):
-    return _uniform(
-        ("T", "Y1", "Y2"),
-        [
-            (0, 0, 0), (1, 0, 1), (1, 1, 0), (0, 1, 1),
-            (2, 2, 2), (3, 2, 3), (3, 3, 2), (2, 3, 3),
-        ],
-    )
-
-
-def _rdnunqxor(_):
-    rows = [
-        (0, 0, 0), (1, 0, 1), (1, 1, 0), (0, 1, 1),
-        (2, 0, 2), (3, 0, 3), (3, 1, 2), (2, 1, 3),
-        (4, 2, 0), (5, 2, 1), (5, 3, 0), (4, 3, 1),
-        (6, 2, 2), (7, 2, 3), (7, 3, 2), (6, 3, 3),
-        (8, 4, 4), (9, 4, 5), (9, 5, 4), (8, 5, 5),
-        (10, 4, 6), (11, 4, 7), (11, 5, 6), (10, 5, 7),
-        (12, 6, 4), (13, 6, 5), (13, 7, 4), (12, 7, 5),
-        (14, 6, 6), (15, 6, 7), (15, 7, 6), (14, 7, 7),
-    ]
-    return _uniform(("T", "Y1", "Y2"), rows)
-
-
-def _xorduplicate(_):
-    return _uniform(
-        ("T", "Y1", "Y2", "Y3"),
-        [(0, 0, 0, 0), (1, 0, 1, 1), (1, 1, 0, 0), (0, 1, 1, 1)],
-    )
-
-
-def _andduplicate(_):
-    return _uniform(
-        ("T", "Y1", "Y2", "Y3"),
-        [(0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 0), (1, 1, 1, 1)],
-    )
-
-
-def _xorloses(_):
-    return _uniform(
-        ("T", "Y1", "Y2", "Y3"),
-        [(0, 0, 0, 0), (1, 0, 1, 1), (1, 1, 0, 1), (0, 1, 1, 0)],
-    )
-
-
-def _xormulticoal(_):
-    return _uniform(
-        ("T", "Y1", "Y2", "Y3"),
-        [
-            (0, 0, 0, 0), (0, 1, 1, 1), (0, 2, 2, 2), (0, 3, 3, 3),
-            (1, 2, 1, 0), (1, 3, 0, 1), (1, 0, 3, 2), (1, 1, 2, 3),
-        ],
-    )
-
-
 @dataclass(frozen=True)
 class CorpusEntry:
-    """One named example distribution.
+    """One named example: a fixed table, or a family of tables in ``r``.
 
-    ``parametric`` entries take the mixing parameter ``r``; the others
-    reject it.  ``default_target`` names the variable most analyses
-    predict, usually ``T``.
+    ``table`` is the distribution itself for a fixed entry, and a
+    function of ``r`` for a family.  ``default_target`` names the
+    variable most analyses predict, usually ``T``.
     """
 
     name: str
     description: str
     default_target: str
-    parametric: bool
-    builder: Callable[[float | None], JointDistribution]
+    table: JointDistribution | Callable[[float], JointDistribution]
+
+    @property
+    def parametric(self) -> bool:
+        return callable(self.table)
 
     def build(self, r: float | None = None) -> JointDistribution:
-        if self.parametric:
-            if r is None:
-                raise ArgumentError(f"{self.name} needs the parameter r")
-            return self.builder(r)
-        if r is not None:
-            raise ArgumentError(f"{self.name} does not take a parameter")
-        return self.builder(None)
+        """The entry's table; a family needs ``r`` in [0, 1], a fixed entry rejects it."""
+        if not self.parametric:
+            if r is not None:
+                raise ArgumentError(f"{self.name} does not take a parameter")
+            return self.table
+        if r is None:
+            raise ArgumentError(f"{self.name} needs the parameter r")
+        return self.table(_check_r(r))
 
 
 CORPUS: dict[str, CorpusEntry] = {
     e.name: e
     for e in [
-        CorpusEntry("XOR", "parity target of two fair bits", "T", False, _xor),
-        CorpusEntry("AND", "conjunction target of two fair bits", "T", False, _and),
-        CorpusEntry("COPY", "target is the full pair of inputs", "T", False, _copy),
         CorpusEntry(
-            "TWEAKED_COPY",
-            "pair-copy target with the both-ones outcome removed",
-            "T",
-            False,
-            _tweaked_copy,
+            "XOR", "parity target of two fair bits", "T",
+            _uniform("T Y1 Y2", "0 0 0, 1 0 1, 1 1 0, 0 1 1"),
         ),
         CorpusEntry(
-            "BOOM",
-            "ternary pair whose shared content is invisible to each alone",
-            "T",
-            False,
-            _boom,
+            "AND", "conjunction target of two fair bits", "T",
+            _uniform("T Y1 Y2", "0 0 0, 0 0 1, 0 1 0, 1 1 1"),
         ),
         CorpusEntry(
-            "ADAPTED_REDUCED_OR",
-            "disjunction-like family mixing which input carries the one",
-            "T",
-            True,
-            _adapted_reduced_or,
+            "COPY", "target is the full pair of inputs", "T",
+            _uniform("T Y1 Y2", "00 0 0, 01 0 1, 10 1 0, 11 1 1"),
         ),
         CorpusEntry(
-            "TARGET_MONO_AND",
-            "conjunction with an enriched second target coordinate",
-            "T",
-            False,
-            _target_mono_and,
+            "TWEAKED_COPY", "pair-copy target with the both-ones outcome removed", "T",
+            _uniform("T Y1 Y2", "00 0 0, 01 0 1, 10 1 0"),
         ),
         CorpusEntry(
-            "TARGET_MONO_CI",
-            "five-outcome table with an enriched second target coordinate",
-            "T",
-            False,
-            _target_mono_ci,
+            "BOOM", "ternary pair whose shared content is invisible to each alone", "T",
+            _uniform("T Y1 Y2", "0 0 2, 1 0 0, 1 1 2, 2 0 0, 2 2 0, 2 2 1"),
         ),
         CorpusEntry(
-            "COPY_XOR_TARGETS",
-            "two targets over one input pair: a parity and a full copy",
+            "ADAPTED_REDUCED_OR", "disjunction-like family mixing which input carries the one",
+            "T",
+            lambda r: _pmf("T Y1 Y2", {
+                "0 0 0": 0.5, "1 0 0": r / 4, "1 1 0": (1 - r) / 4, "1 0 1": (1 - r) / 4,
+                "1 1 1": r / 4,
+            }),
+        ),
+        CorpusEntry(
+            "TARGET_MONO_AND", "conjunction with an enriched second target coordinate", "T",
+            _uniform("T Z Y1 Y2", "0 00 0 0, 0 01 0 1, 0 10 1 0, 1 11 1 1"),
+        ),
+        CorpusEntry(
+            "TARGET_MONO_CI", "five-outcome table with an enriched second target coordinate",
+            "T",
+            _pmf("T Z Y1 Y2", {
+                "0 0 1 0": 0.419, "1 1 2 1": 0.203, "2 1 3 0": 0.007, "0 0 3 1": 0.346,
+                "2 2 4 4": 0.025,
+            }),
+        ),
+        CorpusEntry(
+            "COPY_XOR_TARGETS", "two targets over one input pair: a parity and a full copy",
             "T1",
-            False,
-            _copy_xor_targets,
+            _uniform("T2 T1 Y1 Y2", "0 0 0 0, 1 1 0 1, 1 2 1 0, 0 3 1 1"),
         ),
         CorpusEntry(
-            "ADAPTED_XOR",
-            "parity family interpolating the zero-input row",
-            "T",
-            True,
-            _adapted_xor,
+            "ADAPTED_XOR", "parity family interpolating the zero-input row", "T",
+            lambda r: _pmf("T Y1 Y2", {
+                "0 0 0": r / 4, "1 0 0": (1 - r) / 4, "1 1 0": 0.25, "1 0 1": 0.25,
+                "0 1 1": 0.25,
+            }),
         ),
         CorpusEntry(
-            "ADAPTED_XOR_V2",
-            "skewed parity family interpolating the zero-input row",
-            "T",
-            True,
-            _adapted_xor_v2,
+            "ADAPTED_XOR_V2", "skewed parity family interpolating the zero-input row", "T",
+            lambda r: _pmf("T Y1 Y2", {
+                "0 0 0": r / 10, "1 0 0": (1 - r) / 10, "1 1 0": 0.4, "1 0 1": 0.4,
+                "0 1 1": 0.1,
+            }),
         ),
         CorpusEntry(
-            "RDNXOR", "parity with a shared two-block label", "T", False, _rdnxor
+            "RDNXOR", "parity with a shared two-block label", "T",
+            _uniform("T Y1 Y2", "0 0 0, 1 0 1, 1 1 0, 0 1 1, 2 2 2, 3 2 3, 3 3 2, 2 3 3"),
         ),
         CorpusEntry(
-            "RDNUNQXOR",
-            "parity carrying redundant, unique and synergistic parts at once",
-            "T",
-            False,
-            _rdnunqxor,
+            "RDNUNQXOR", "parity carrying redundant, unique and synergistic parts at once", "T",
+            _uniform(
+                "T Y1 Y2",
+                "0 0 0, 1 0 1, 1 1 0, 0 1 1, 2 0 2, 3 0 3, 3 1 2, 2 1 3,"
+                "4 2 0, 5 2 1, 5 3 0, 4 3 1, 6 2 2, 7 2 3, 7 3 2, 6 3 3,"
+                "8 4 4, 9 4 5, 9 5 4, 8 5 5, 10 4 6, 11 4 7, 11 5 6, 10 5 7,"
+                "12 6 4, 13 6 5, 13 7 4, 12 7 5, 14 6 6, 15 6 7, 15 7 6, 14 7 7",
+            ),
         ),
         CorpusEntry(
-            "XORDUPLICATE",
-            "parity plus an exact copy of one input",
-            "T",
-            False,
-            _xorduplicate,
+            "XORDUPLICATE", "parity plus an exact copy of one input", "T",
+            _uniform("T Y1 Y2 Y3", "0 0 0 0, 1 0 1 1, 1 1 0 0, 0 1 1 1"),
         ),
         CorpusEntry(
-            "ANDDUPLICATE",
-            "conjunction plus an exact copy of one input",
-            "T",
-            False,
-            _andduplicate,
+            "ANDDUPLICATE", "conjunction plus an exact copy of one input", "T",
+            _uniform("T Y1 Y2 Y3", "0 0 0 0, 0 0 1 1, 0 1 0 0, 1 1 1 1"),
         ),
         CorpusEntry(
-            "XORLOSES",
-            "parity whose value also appears among the predictors",
-            "T",
-            False,
-            _xorloses,
+            "XORLOSES", "parity whose value also appears among the predictors", "T",
+            _uniform("T Y1 Y2 Y3", "0 0 0 0, 1 0 1 1, 1 1 0 1, 0 1 1 0"),
         ),
         CorpusEntry(
-            "XORMULTICOAL",
-            "two-bit target recoverable from any pair of three predictors",
-            "T",
-            False,
-            _xormulticoal,
+            "XORMULTICOAL", "two-bit target recoverable from any pair of three predictors", "T",
+            _uniform(
+                "T Y1 Y2 Y3",
+                "0 0 0 0, 0 1 1 1, 0 2 2 2, 0 3 3 3, 1 2 1 0, 1 3 0 1, 1 0 3 2, 1 1 2 3",
+            ),
         ),
     ]
 }
@@ -325,9 +176,10 @@ def corpus_names() -> tuple[str, ...]:
 
 
 def canonical(name: str, r: float | None = None) -> JointDistribution:
-    """Build a corpus distribution by name.
+    """A corpus distribution by name.
 
-    Parametric families require ``r`` in [0, 1]; fixed tables reject it.
+    A fixed entry returns its one shared table and rejects ``r``; a
+    family builds a new table for ``r`` in [0, 1].
     Unknown names raise :class:`~cipid.errors.ArgumentError` listing the
     available ones.
     """

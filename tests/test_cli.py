@@ -178,6 +178,20 @@ class TestMeasure:
         assert code == 0
         assert out == "i_cup_ci\t0.902202\n"
 
+    @pytest.mark.parametrize("target, code, shown", [
+        (None, 0, "i_total\t2.000000\n"),
+        ("T1", 0, "i_total\t2.000000\n"),
+        ("T2", 0, "i_total\t1.000000\n"),
+        ("", 2, "error: target specification is empty\n"),
+    ])
+    def test_a_corpus_entry_supplies_its_default_target(self, capsys, target, code, shown):
+        """COPY_XOR_TARGETS predicts T1, the pair copy, unless --target names another."""
+        flag = [] if target is None else ["--target", target]
+        got, out, err = run(
+            capsys, "measure", "--dist", "corpus:COPY_XOR_TARGETS", "--measure", "i_total", *flag,
+        )
+        assert (got, out + err) == (code, shown)
+
     def test_parametric_dist(self, capsys):
         code, out, _ = run(
             capsys, "measure", "--dist", "corpus:ADAPTED_XOR", "--r", "1",
@@ -205,6 +219,14 @@ class TestUsageErrors:
             capsys, "measure", "--dist", str(path), "--r", "0.5", "--measure", "s_ci",
         )
         assert code == 2
+
+    def test_a_file_without_T_needs_a_target(self, capsys, tmp_path):
+        path = tmp_path / "ab.dist"
+        path.write_text("A B p\n0 0 1/2\n1 1 1/2\n")
+        code, out, err = run(capsys, "measure", "--dist", str(path), "--measure", "i_total")
+        assert code == 2
+        assert out == ""
+        assert "no default target" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(

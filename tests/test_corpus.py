@@ -1,5 +1,6 @@
 """Bundled distributions and the text file format."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -41,6 +42,53 @@ def test_symbols_are_strings():
         d = canonical(name, 0.5) if name in PARAMETRIC else canonical(name)
         for outcome in d.pmf:
             assert all(isinstance(s, str) for s in outcome), name
+
+
+# SHA-256 of each entry's variable names, alphabets, default target and
+# outcomes in order with float.hex masses; the families at five values of r.
+_PINNED = {
+    ("XOR", None): "fcfa11214fd9ce2d1a6bf9c4ae0732d9e760d19a87e51feab2389d3667295480",
+    ("AND", None): "d7b2729bddb5c5ea1dd4afeb0d7213310ae519ab23911dd50626b4326f245771",
+    ("COPY", None): "2b9a3bfd55a8b597008553d5a2a471b9d94279b664f6ee3b232f0043e1656f99",
+    ("TWEAKED_COPY", None): "45887aa679aed114073c86125ff07c152500924f3b5038e79fc01cee6b40501b",
+    ("BOOM", None): "69b0c116e635963136aa3a9a53c044e395d5baefa1b1457347f76880fe5e9aa1",
+    ("ADAPTED_REDUCED_OR", 0.0): "65632d7eb18bc692b677228cd4f0be333b27297ec8e4c41565222ed4e8ceab16",
+    ("ADAPTED_REDUCED_OR", 0.25): "aa273ff7a04fbf9dfcdc44559642b2b68bb54f1d8278a3b6f65486a1783470d3",
+    ("ADAPTED_REDUCED_OR", 0.5): "6cecf2ff4bbd336e57142905b7ca618902cc64dfd266c26a16a9ca8d9037f649",
+    ("ADAPTED_REDUCED_OR", 0.75): "5c35657491120e58abcf58878509ed1744e2d529135e4c49cd276eddf705112a",
+    ("ADAPTED_REDUCED_OR", 1.0): "649f38f0294e4d567b39d1e51731a0aae75f5bb6bd6183591282fac41f33c9c7",
+    ("TARGET_MONO_AND", None): "cd96b40f66ef0b0a8deb4d86507c931ea7b2c9e78ac143ffbdf93ac9f5befd37",
+    ("TARGET_MONO_CI", None): "1c8a3cb7eace7cab1dcdd944a830d9232e7874b25c8801d73d0d5df9cbc9d4c3",
+    ("COPY_XOR_TARGETS", None): "2c88b9be0a70fb0341b9b7d0daacee3c721b939be9f8569510868d673399fb42",
+    ("ADAPTED_XOR", 0.0): "38ae64a59facfa2520e0bbfa95479c240245c7204ec3642d5193efcf16df031d",
+    ("ADAPTED_XOR", 0.25): "0e57d70a7a1a64ea046b924f67a0f8adaafcf2057eb4c907b9f52cfe9e072b0e",
+    ("ADAPTED_XOR", 0.5): "09b08db1e096a2f0e7bfabb13c8c8c0b716baa3467e243d6e51c34ffb10558e6",
+    ("ADAPTED_XOR", 0.75): "9e61fecf592722b72030d3224998a05e5335f01bd7d2612c1387b5cdda9813eb",
+    ("ADAPTED_XOR", 1.0): "c1d9e400cf8b2f59ce349184613674189e500f468fe080cc1aba5ee91b740ff7",
+    ("ADAPTED_XOR_V2", 0.0): "b9e8e7f6911c06124557b3fbf169773a0885ac59ce9b27cb1d2bdc416acdeb42",
+    ("ADAPTED_XOR_V2", 0.25): "2dc7304d0d71b2ed7b5ca9a8a358e6e127fa0d398e55b343cb05edfb03e1a662",
+    ("ADAPTED_XOR_V2", 0.5): "0136f2b85594ea77449718a0e26557412b37f18dda3321d80b887999b1c69b30",
+    ("ADAPTED_XOR_V2", 0.75): "0b366ac3051639fd9c103b6a0e260fb8fa57372308f856f99e538f147f3cca7b",
+    ("ADAPTED_XOR_V2", 1.0): "43131beade962399258c6ca17cbd78ab77e90a091ef53c3aca0b0040ca372eec",
+    ("RDNXOR", None): "378332739298741145c3a3187d6b5c3fe8ef2f8e32f449982e56209d9f627fb6",
+    ("RDNUNQXOR", None): "ad5991825b1b398dbcd3ce016c5741432bf9cc85d0a480a5a4f895f1f95fb451",
+    ("XORDUPLICATE", None): "1d89b21f6bab17d4081d1b70a377a70df3aac65ef54f9a57637e4dc50ce9bebb",
+    ("ANDDUPLICATE", None): "c37303d5e9ed75a8bf56851bf74a4771690c9613c1b55c054d9b2db0839e480f",
+    ("XORLOSES", None): "7b55782b0d846d2f6e5acd91840bbe11da2adac66e11967a3204c1cbc7e9584d",
+    ("XORMULTICOAL", None): "8792f445707f676c1b28c290e1860294fcbf3c6b38d10e03a82447aad4f3d8de",
+}
+
+
+_CASES = [(name, r) for name, entry in CORPUS.items()
+          for r in ((0.0, 0.25, 0.5, 0.75, 1.0) if entry.parametric else (None,))]
+
+
+@pytest.mark.parametrize("name, r", _CASES, ids=[n if r is None else f"{n}@{r}" for n, r in _CASES])
+def test_every_entry_is_pinned(name, r):
+    d = canonical(name, r)
+    text = repr((d.var_names, d.alphabets, CORPUS[name].default_target,
+                 [(outcome, p.hex()) for outcome, p in d.pmf.items()]))
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED.get((name, r))
 
 
 class TestKnownShapes:

@@ -85,19 +85,20 @@ def _partitions(collection) -> tuple:
 
 
 def _inputs():
-    """(label, distribution) for every corpus entry and random draw, in a fixed order."""
+    """(label, distribution, default target or None) for every input, in a fixed order."""
     for name, entry in CORPUS.items():
         for r in _RS if entry.parametric else (None,):
-            yield f"corpus:{name}" + ("" if r is None else f"@{r}"), canonical(name, r)
+            label = f"corpus:{name}" + ("" if r is None else f"@{r}")
+            yield label, canonical(name, r), entry.default_target
     for seed in _SEEDS:
         rng = np.random.default_rng(seed)
         for k in range(_DRAWS):
-            yield f"draw:{seed}:{k}", random_distribution(rng)
+            yield f"draw:{seed}:{k}", random_distribution(rng), None
 
 
-def _measure_records(label: str, dist, index: int) -> dict[str, str]:
+def _measure_records(dist, target_spec: str | None, index: int) -> dict[str, str]:
     """Every record of one input, keyed by measure name."""
-    target = cli._resolve_target(dist, None, label.split("@")[0])
+    target = cli._resolve_target(dist, target_spec)
     singletons = cli._resolve_sources(dist, None, target)
     ctx = cli._Ctx(dist, target, singletons, 0)
     out = {name: _record(lambda name=name: ctx.value(name)) for name in cli.MEASURES}
@@ -123,8 +124,8 @@ def _command_record(argv: list[str]) -> str:
 def compute() -> dict[str, dict[str, str]]:
     """records[measure][input label]: the token of that measure on that input."""
     records: dict[str, dict[str, str]] = {}
-    for index, (label, dist) in enumerate(_inputs()):
-        for name, token in _measure_records(label, dist, index).items():
+    for index, (label, dist, target_spec) in enumerate(_inputs()):
+        for name, token in _measure_records(dist, target_spec, index).items():
             records.setdefault(name, {})[label] = token
     records["cli"] = {" ".join(argv): _command_record(argv) for argv in _COMMANDS}
     return records
